@@ -1,21 +1,18 @@
 """ILP-based scheduling methods (paper Section 4.4) and the MILP layer."""
 
-from .bnb import solve_branch_and_bound
 from .commsched import CommScheduleIlpImprover, solve_comm_schedule_ilp
 from .formulation import BspIlpFormulation, build_bsp_ilp, estimate_variable_count
 from .full import IlpFullScheduler, solve_full_ilp
 from .init import IlpInitScheduler, topological_batches
 from .model import INF, Constraint, IlpModel
 from .partial import PartialIlpImprover, superstep_windows
-from .solver import SolverResult, SolverStatus, solve, solve_with_highs
+from .solver import SolverResult, SolverStatus, solve
 
 __all__ = [
     "IlpModel",
     "Constraint",
     "INF",
     "solve",
-    "solve_with_highs",
-    "solve_branch_and_bound",
     "SolverResult",
     "SolverStatus",
     "BspIlpFormulation",

@@ -1,10 +1,9 @@
-"""MILP solver backends.
+"""MILP solver.
 
 The paper uses the open-source CBC solver with per-call time limits; this
 reproduction substitutes SciPy's bundled HiGHS MILP solver
-(``scipy.optimize.milp``) and a pure-Python branch-and-bound fallback
-(:mod:`repro.ilp.bnb`).  Both are driven through :func:`solve`, which
-normalizes the result into a :class:`SolverResult`.
+(``scipy.optimize.milp``), driven through :func:`solve`, which normalizes
+the result into a :class:`SolverResult`.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .model import IlpModel
 
-__all__ = ["SolverStatus", "SolverResult", "solve", "solve_with_highs"]
+__all__ = ["SolverStatus", "SolverResult", "solve"]
 
 
 class SolverStatus(enum.Enum):
@@ -52,12 +51,12 @@ class SolverResult:
         return self.value(index) > 0.5
 
 
-def solve_with_highs(
+def solve(
     model: IlpModel,
     time_limit: Optional[float] = None,
     mip_rel_gap: Optional[float] = None,
 ) -> SolverResult:
-    """Solve with ``scipy.optimize.milp`` (HiGHS)."""
+    """Solve a model with ``scipy.optimize.milp`` (HiGHS)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     c, A, c_lb, c_ub, b_lb, b_ub, integrality = model.to_arrays()
@@ -84,26 +83,3 @@ def solve_with_highs(
         return SolverResult(SolverStatus.INFEASIBLE, None, None)
     return SolverResult(SolverStatus.NO_SOLUTION, None, None)
 
-
-def solve(
-    model: IlpModel,
-    time_limit: Optional[float] = None,
-    mip_rel_gap: Optional[float] = None,
-    backend: str = "highs",
-) -> SolverResult:
-    """Solve a model with the requested backend (``"highs"`` or ``"bnb"``).
-
-    The branch-and-bound backend exists to keep the package functional where
-    SciPy's HiGHS wrapper is unavailable and to cross-check the formulations
-    in tests; it is only suitable for small models.
-    """
-    if backend == "highs":
-        try:
-            return solve_with_highs(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-        except ImportError:  # pragma: no cover - environment without scipy.milp
-            backend = "bnb"
-    if backend == "bnb":
-        from .bnb import solve_branch_and_bound
-
-        return solve_branch_and_bound(model, time_limit=time_limit)
-    raise ValueError(f"unknown solver backend {backend!r}")

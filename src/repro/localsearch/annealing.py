@@ -74,86 +74,69 @@ def simulated_annealing(
     with _trace.span(
         "simulated_annealing", nodes=schedule.dag.n, steps=steps, cooling=cooling
     ) as tspan:
-        return _simulated_annealing(
-            schedule,
-            initial_temperature=initial_temperature,
-            cooling=cooling,
-            steps=steps,
-            time_limit=time_limit,
-            seed=seed,
-            tspan=tspan,
+        state = LocalSearchState(schedule)
+        rng = np.random.default_rng(seed)
+        initial_cost = float(state.total_cost)
+        best_proc = state.proc.copy()
+        best_step = state.step.copy()
+        best_cost = initial_cost
+
+        temperature = (
+            initial_temperature
+            if initial_temperature is not None
+            else max(initial_cost * 0.02, 1.0)
         )
+        start = time.monotonic()
+        evaluated = 0
+        accepted = 0
+        n = state.dag.n
 
+        for step_index in range(steps if n > 0 else 0):
+            if time_limit is not None and time.monotonic() - start > time_limit:
+                break
+            v = int(rng.integers(n))
+            moves = state.candidate_moves(v)
+            if not moves:
+                continue
+            _, p, s = moves[int(rng.integers(len(moves)))]
+            delta = state.move_delta(v, p, s)
+            evaluated += 1
+            if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
+                new_cost = state.apply_move(v, p, s)
+                accepted += 1
+                if new_cost < best_cost - 1e-12:
+                    best_cost = float(new_cost)
+                    best_proc = state.proc.copy()
+                    best_step = state.step.copy()
+                    if _trace.enabled():
+                        # Convergence telemetry: sample the best-seen curve at
+                        # each improvement.  Never touches the RNG stream.
+                        tspan.event(
+                            "improvement",
+                            step=step_index,
+                            cost=best_cost,
+                            evaluated=evaluated,
+                            accepted=accepted,
+                        )
+            temperature *= cooling
 
-def _simulated_annealing(
-    schedule: BspSchedule,
-    *,
-    initial_temperature: Optional[float],
-    cooling: float,
-    steps: int,
-    time_limit: Optional[float],
-    seed: Optional[int],
-    tspan: "_trace.SpanLike",
-) -> SimulatedAnnealingResult:
-    state = LocalSearchState(schedule)
-    rng = np.random.default_rng(seed)
-    initial_cost = float(state.total_cost)
-    best_proc = state.proc.copy()
-    best_step = state.step.copy()
-    best_cost = initial_cost
-
-    temperature = initial_temperature if initial_temperature is not None else max(initial_cost * 0.02, 1.0)
-    start = time.monotonic()
-    evaluated = 0
-    accepted = 0
-    n = state.dag.n
-
-    for step_index in range(steps if n > 0 else 0):
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            break
-        v = int(rng.integers(n))
-        moves = state.candidate_moves(v)
-        if not moves:
-            continue
-        _, p, s = moves[int(rng.integers(len(moves)))]
-        delta = state.move_delta(v, p, s)
-        evaluated += 1
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-            new_cost = state.apply_move(v, p, s)
-            accepted += 1
-            if new_cost < best_cost - 1e-12:
-                best_cost = float(new_cost)
-                best_proc = state.proc.copy()
-                best_step = state.step.copy()
-                if _trace.enabled():
-                    # Convergence telemetry: sample the best-seen curve at
-                    # each improvement.  Never touches the RNG stream.
-                    tspan.event(
-                        "improvement",
-                        step=step_index,
-                        cost=best_cost,
-                        evaluated=evaluated,
-                        accepted=accepted,
-                    )
-        temperature *= cooling
-
-    best = BspSchedule(schedule.dag, schedule.machine, best_proc, best_step).normalized()
-    result = SimulatedAnnealingResult(
-        schedule=best,
-        initial_cost=initial_cost,
-        final_cost=float(best.cost()),
-        moves_evaluated=evaluated,
-        moves_accepted=accepted,
-    )
-    if _trace.enabled():
-        tspan.annotate(
-            initial_cost=result.initial_cost,
-            final_cost=result.final_cost,
-            evaluated=evaluated,
-            accepted=accepted,
-            engine_transactions=state.engine.transactions,
+        best = BspSchedule(schedule.dag, schedule.machine, best_proc, best_step).normalized()
+        result = SimulatedAnnealingResult(
+            schedule=best,
+            initial_cost=initial_cost,
+            final_cost=float(best.cost()),
+            moves_evaluated=evaluated,
+            moves_accepted=accepted,
         )
-    return result
+        if _trace.enabled():
+            tspan.annotate(
+                initial_cost=result.initial_cost,
+                final_cost=result.final_cost,
+                evaluated=evaluated,
+                accepted=accepted,
+                engine_transactions=state.engine.transactions,
+            )
+        return result
 
 
 class SimulatedAnnealingImprover:

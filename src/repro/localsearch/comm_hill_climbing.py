@@ -211,86 +211,74 @@ def comm_hill_climb(
 ) -> CommHillClimbingResult:
     """Optimize the communication schedule of a fixed (pi, tau) assignment."""
     with _trace.span("comm_hill_climb", nodes=schedule.dag.n) as tspan:
-        return _comm_hill_climb(
-            schedule, max_moves=max_moves, time_limit=time_limit, tspan=tspan
-        )
+        initial_cost = float(schedule.cost())
+        state = CommScheduleState(schedule)
+        start = time.monotonic()
+        moves_applied = 0
+        budget_calls = 0
+        timed_out = False
 
-
-def _comm_hill_climb(
-    schedule: BspSchedule,
-    *,
-    max_moves: Optional[int],
-    time_limit: Optional[float],
-    tspan: "_trace.SpanLike",
-) -> CommHillClimbingResult:
-    initial_cost = float(schedule.cost())
-    state = CommScheduleState(schedule)
-    start = time.monotonic()
-    moves_applied = 0
-    budget_calls = 0
-    timed_out = False
-
-    def out_of_budget() -> bool:
-        nonlocal budget_calls, timed_out
-        if max_moves is not None and moves_applied >= max_moves:
-            return True
-        if time_limit is not None:
-            if timed_out:
+        def out_of_budget() -> bool:
+            nonlocal budget_calls, timed_out
+            if max_moves is not None and moves_applied >= max_moves:
                 return True
-            budget_calls += 1
-            if budget_calls % _CLOCK_STRIDE == 1:
-                timed_out = time.monotonic() - start > time_limit
-                return timed_out
-        return False
+            if time_limit is not None:
+                if timed_out:
+                    return True
+                budget_calls += 1
+                if budget_calls % _CLOCK_STRIDE == 1:
+                    timed_out = time.monotonic() - start > time_limit
+                    return timed_out
+            return False
 
-    improved_any = True
-    passes = 0
-    while improved_any and not out_of_budget():
-        improved_any = False
-        passes += 1
-        for (u, q) in state.transfers:
-            if out_of_budget():
-                break
-            lo, hi = state.window[(u, q)]
-            if lo >= hi:
-                continue
-            current_step = state.current[(u, q)]
-            current_cost = state.comm_total
-            costs = state.probe_window(u, q)
-            for i in range(hi - lo + 1):
-                s = lo + i
-                if s == current_step:
-                    continue
-                if costs[i] < current_cost - _EPS:
-                    state.move(u, q, s)
-                    moves_applied += 1
-                    improved_any = True
+        improved_any = True
+        passes = 0
+        while improved_any and not out_of_budget():
+            improved_any = False
+            passes += 1
+            for (u, q) in state.transfers:
+                if out_of_budget():
                     break
-        if _trace.enabled():
-            # Convergence telemetry: the per-pass h-relation sum (g=1, l=0
-            # engine total) and the applied-move tally.  Read-only.
-            tspan.event(
-                "pass", index=passes, h_cost=float(state.comm_total), moves=moves_applied
-            )
+                lo, hi = state.window[(u, q)]
+                if lo >= hi:
+                    continue
+                current_step = state.current[(u, q)]
+                current_cost = state.comm_total
+                costs = state.probe_window(u, q)
+                for i in range(hi - lo + 1):
+                    s = lo + i
+                    if s == current_step:
+                        continue
+                    if costs[i] < current_cost - _EPS:
+                        state.move(u, q, s)
+                        moves_applied += 1
+                        improved_any = True
+                        break
+            if _trace.enabled():
+                # Convergence telemetry: the per-pass h-relation sum (g=1, l=0
+                # engine total) and the applied-move tally.  Read-only.
+                tspan.event(
+                    "pass", index=passes, h_cost=float(state.comm_total), moves=moves_applied
+                )
 
-    out = schedule.copy()
-    out.comm = state.to_comm_schedule()
-    result = CommHillClimbingResult(
-        schedule=out,
-        initial_cost=initial_cost,
-        final_cost=float(out.cost()),
-        moves_applied=moves_applied,
-        reached_local_optimum=not improved_any,
-    )
-    if _trace.enabled():
-        tspan.annotate(
-            initial_cost=result.initial_cost,
-            final_cost=result.final_cost,
-            moves=moves_applied,
-            passes=passes,
-            engine_transactions=state.engine.transactions,
+        out = schedule.copy()
+        out.comm = state.to_comm_schedule()
+        result = CommHillClimbingResult(
+            schedule=out,
+            initial_cost=initial_cost,
+            final_cost=float(out.cost()),
+            moves_applied=moves_applied,
+            reached_local_optimum=not improved_any,
         )
-    return result
+        if _trace.enabled():
+            tspan.annotate(
+                initial_cost=result.initial_cost,
+                final_cost=result.final_cost,
+                moves=moves_applied,
+                passes=passes,
+                engine_transactions=state.engine.transactions,
+            )
+        return result
 
 
 class CommScheduleImprover:

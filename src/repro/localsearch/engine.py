@@ -1,41 +1,38 @@
-"""Reusable incremental superstep-matrix cost engine.
+"""Incremental superstep-matrix cost engine: the one owner of the cost state.
 
 Every local search in this package maintains the same redundant state: the
 ``(S, P)`` per-superstep work / send / receive matrices, the per-superstep
 cost vector derived from them through
-:func:`repro.model.cost.superstep_row_costs`, and the running total.  This
-module owns that state once, so that applying a move is a constant-size
-delta (a handful of matrix cells plus a refresh of the touched rows) instead
-of a superstep-matrix rebuild, and so that a delta can be *reported* without
-being applied at all (:meth:`IncrementalCostEngine.probe_cells`).
+:func:`repro.model.cost.superstep_block_costs`, and the running total.  This
+module owns that state once, and :meth:`IncrementalCostEngine.apply_cells`
+is the only code that writes it: a move is a short list of
+``(matrix, row, col, value)`` cell deltas, applied in order and followed by
+a refresh of just the touched rows, instead of a superstep-matrix rebuild.
+Because every mutation goes through that one method, its transaction counter
+and its record of the refreshed rows are true for every caller.
 
 The three matrices are stored stacked in one ``(3, S, P)`` tensor
-(:attr:`IncrementalCostEngine.mats`), so that the probe hot path reads the
-affected rows of all three with a single fancy index and re-costs them with
-the fused kernel :func:`repro.model.cost.superstep_block_costs` — bitwise
-the same result as three separate reads plus
-:func:`~repro.model.cost.superstep_row_costs`, at a third of the numpy
-call overhead.
+(:attr:`IncrementalCostEngine.mats`), so that the probe hot paths of the
+callers read the affected rows of all three with a single fancy index and
+re-cost them with the fused kernel.
 
-:class:`~repro.localsearch.state.LocalSearchState` (used by hill climbing
-and simulated annealing) and
-:class:`~repro.localsearch.comm_hill_climbing.CommScheduleState` both sit on
-this engine; the cost formula itself stays in :mod:`repro.model.cost`, the
-single source of truth.  Applied transactions are journaled, so a caller can
-roll back the most recent ones (:meth:`IncrementalCostEngine.undo`) — the
-building block for annealing rejections, schedule repair and future online
-(re-)scheduling modes.
+:class:`~repro.localsearch.state.LocalSearchState` (hill climbing and
+simulated annealing) and
+:class:`~repro.localsearch.comm_hill_climbing.CommScheduleState` (HCcs) both
+sit on this engine; each turns a move into its cell deltas and hands them to
+:meth:`~IncrementalCostEngine.apply_cells`.  The cost formula itself stays in
+:mod:`repro.model.cost`, the single source of truth.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..model.cost import superstep_block_costs
 
-__all__ = ["IncrementalCostEngine", "WORK", "SEND", "RECV"]
+__all__ = ["IncrementalCostEngine", "Cell", "WORK", "SEND", "RECV"]
 
 #: Matrix selectors for cell deltas: ``(matrix, row, col, value)`` tuples.
 WORK, SEND, RECV = 0, 1, 2
@@ -83,16 +80,16 @@ class IncrementalCostEngine:
         self.mats[RECV, :rows] = recv
         self.step_cost = superstep_block_costs(self.mats, self.g, self.l)
         #: Python-list mirror of :attr:`step_cost`, kept in sync by
-        #: :meth:`refresh_rows` — scalar reads on the probe path are ~10x
+        #: :meth:`apply_cells` — scalar reads on the probe path are ~10x
         #: cheaper on a list than on the array.
         self.step_cost_list: List[float] = self.step_cost.tolist()
         self.total_cost = float(self.step_cost.sum())
-        #: Journal of applied transactions (lists of cells), newest last.
-        self._journal: List[List[Cell]] = []
-        #: Monotone count of applied transactions (never decremented by
-        #: :meth:`undo`) — the "engine transaction" figure of convergence
-        #: telemetry spans.
+        #: Count of applied transactions — the "engine transaction" figure
+        #: of convergence telemetry spans.
         self.transactions: int = 0
+        #: Sorted unique superstep rows the most recent :meth:`apply_cells`
+        #: re-costed.
+        self.last_rows: np.ndarray = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Views
@@ -113,7 +110,7 @@ class IncrementalCostEngine:
         return self.mats[RECV]
 
     # ------------------------------------------------------------------
-    # Capacity and refresh
+    # Capacity
     # ------------------------------------------------------------------
     def ensure_capacity(self, step: int) -> None:
         """Grow the matrices so that superstep row ``step`` exists."""
@@ -127,23 +124,6 @@ class IncrementalCostEngine:
         self.step_cost_list.extend([0.0] * extra)
         self.S += extra
 
-    def refresh_rows(self, rows: Iterable[int]) -> None:
-        """Recompute the cost of the given superstep rows and the total.
-
-        Out-of-range rows are ignored so callers can pass raw ``step - 1`` /
-        ``step + 1`` candidates without clamping.
-        """
-        idx = np.unique(np.fromiter(rows, dtype=np.int64))
-        idx = idx[(idx >= 0) & (idx < self.S)]
-        if idx.size == 0:
-            return
-        new = superstep_block_costs(self.mats[:, idx], self.g, self.l)
-        self.total_cost += float(new.sum() - self.step_cost[idx].sum())
-        self.step_cost[idx] = new
-        mirror = self.step_cost_list
-        for r, c in zip(idx.tolist(), new.tolist()):
-            mirror[r] = c
-
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
@@ -152,8 +132,8 @@ class IncrementalCostEngine:
         """Reject negative superstep rows before any matrix is touched.
 
         A negative row would silently wrap the numpy cell write to the last
-        superstep while :meth:`refresh_rows` filters the same row out —
-        desynchronizing ``total_cost`` from the matrices with no error.
+        superstep and desynchronize ``total_cost`` from the matrices with no
+        error.
         """
         for cell in cells:
             if cell[1] < 0:
@@ -167,9 +147,10 @@ class IncrementalCostEngine:
 
         Each cell is ``(matrix, row, col, value)`` with ``matrix`` one of
         :data:`WORK` / :data:`SEND` / :data:`RECV`; ``value`` is added to the
-        cell.  The transaction is journaled for :meth:`undo`.  A cell with a
-        negative ``row`` raises :class:`ValueError` and leaves the engine
-        untouched.
+        cell, in list order.  The matrices grow to hold the largest row, and
+        afterwards the cost of every touched row and the total are refreshed
+        (the rows are left in :attr:`last_rows`).  A cell with a negative
+        ``row`` raises :class:`ValueError` and leaves the engine untouched.
         """
         if cells:
             self._check_rows(cells)
@@ -177,55 +158,14 @@ class IncrementalCostEngine:
         mats = self.mats
         for mat, row, col, val in cells:
             mats[mat, row, col] += val
-        self._journal.append(list(cells))
         self.transactions += 1
-        self.refresh_rows(cell[1] for cell in cells)
+        idx = np.unique(np.fromiter((cell[1] for cell in cells), dtype=np.int64))
+        self.last_rows = idx
+        if idx.size:
+            new = superstep_block_costs(mats[:, idx], self.g, self.l)
+            self.total_cost += float(new.sum() - self.step_cost[idx].sum())
+            self.step_cost[idx] = new
+            mirror = self.step_cost_list
+            for r, c in zip(idx.tolist(), new.tolist()):
+                mirror[r] = c
         return self.total_cost
-
-    def undo(self) -> float:
-        """Roll back the most recent :meth:`apply_cells` transaction."""
-        if not self._journal:
-            raise IndexError("no transaction to undo")
-        cells = self._journal.pop()
-        mats = self.mats
-        for mat, row, col, val in cells:
-            mats[mat, row, col] -= val
-        self.refresh_rows(cell[1] for cell in cells)
-        return self.total_cost
-
-    @property
-    def journal_depth(self) -> int:
-        """Number of undoable transactions currently journaled."""
-        return len(self._journal)
-
-    # ------------------------------------------------------------------
-    # Probing (delta without mutation)
-    # ------------------------------------------------------------------
-    def probe_cells(self, cells: Sequence[Cell]) -> float:
-        """Cost delta :meth:`apply_cells` would cause, without applying it.
-
-        The affected rows are copied, the deltas scattered into the copies,
-        and only those rows re-costed — the superstep matrices are never
-        rebuilt and the engine state is unchanged.  A cell with a negative
-        ``row`` raises :class:`ValueError` (the same contract as
-        :meth:`apply_cells`, instead of an incidental ``KeyError``).
-        """
-        if not cells:
-            return 0.0
-        self._check_rows(cells)
-        self.ensure_capacity(max(cell[1] for cell in cells))
-        rows = np.unique(np.fromiter((cell[1] for cell in cells), dtype=np.int64))
-        rows = rows[(rows >= 0) & (rows < self.S)]
-        ridx = {int(r): i for i, r in enumerate(rows)}
-        blocks = self.mats[:, rows]
-        for mat, row, col, val in cells:
-            blocks[mat, ridx[row], col] += val
-        new = superstep_block_costs(blocks, self.g, self.l)
-        return float(new.sum() - self.step_cost[rows].sum())
-
-    # ------------------------------------------------------------------
-    # Introspection / verification
-    # ------------------------------------------------------------------
-    def recompute_total(self) -> float:
-        """Total cost recomputed from the matrices (testing / debugging aid)."""
-        return float(superstep_block_costs(self.mats, self.g, self.l).sum())

@@ -93,209 +93,190 @@ def hill_climb(
     if variant not in ("first", "best"):
         raise ValueError("variant must be 'first' or 'best'")
     with _trace.span("hill_climb", variant=variant, nodes=schedule.dag.n) as tspan:
-        return _hill_climb(
-            schedule,
-            variant=variant,
-            max_moves=max_moves,
-            max_passes=max_passes,
-            time_limit=time_limit,
-            tspan=tspan,
-        )
+        state = LocalSearchState(schedule)
+        n = state.dag.n
+        initial_cost = state.total_cost
+        start_time = time.monotonic()
+        moves_applied = 0
+        passes = 0
+        budget_calls = 0
+        timed_out = False
 
-
-def _hill_climb(
-    schedule: BspSchedule,
-    *,
-    variant: str,
-    max_moves: Optional[int],
-    max_passes: Optional[int],
-    time_limit: Optional[float],
-    tspan: "_trace.SpanLike",
-) -> HillClimbingResult:
-    state = LocalSearchState(schedule)
-    n = state.dag.n
-    initial_cost = state.total_cost
-    start_time = time.monotonic()
-    moves_applied = 0
-    passes = 0
-    budget_calls = 0
-    timed_out = False
-
-    def out_of_budget() -> bool:
-        nonlocal budget_calls, timed_out
-        if max_moves is not None and moves_applied >= max_moves:
-            return True
-        if max_passes is not None and passes >= max_passes:
-            return True
-        if time_limit is not None:
-            if timed_out:
+        def out_of_budget() -> bool:
+            nonlocal budget_calls, timed_out
+            if max_moves is not None and moves_applied >= max_moves:
                 return True
-            budget_calls += 1
-            if budget_calls % _CLOCK_STRIDE == 1:
-                timed_out = time.monotonic() - start_time > time_limit
-                return timed_out
-        return False
+            if max_passes is not None and passes >= max_passes:
+                return True
+            if time_limit is not None:
+                if timed_out:
+                    return True
+                budget_calls += 1
+                if budget_calls % _CLOCK_STRIDE == 1:
+                    timed_out = time.monotonic() - start_time > time_limit
+                    return timed_out
+            return False
 
-    # Probe-cache bookkeeping.  clean[v]: v's last probe found no improving
-    # move and its 2-hop probe dependencies are unchanged since; it is still
-    # non-improving iff the superstep rows that probe read (probe_rows[v])
-    # are also untouched, which the monotone move-counter stamps check in
-    # O(|rows|).  fresh[v]: v's row of the pass-level candidate mask still
-    # matches candidate_moves(v).  dirty_stamp[v]: the move counter when an
-    # applied move last invalidated v's probe dependencies — prefetched
-    # batch results are consumed only if both their rows and their node
-    # survived every move applied since the batch was probed.
-    clean = np.zeros(n, dtype=bool)
-    fresh = np.zeros(n, dtype=bool)
-    probe_stamp = np.zeros(n, dtype=np.int64)
-    dirty_stamp = np.zeros(n, dtype=np.int64)
-    probe_rows: List[Optional[np.ndarray]] = [None] * n
-    row_stamp = np.zeros(state.S, dtype=np.int64)
-    move_counter = 0
+        # Probe-cache bookkeeping.  clean[v]: v's last probe found no improving
+        # move and its 2-hop probe dependencies are unchanged since; it is still
+        # non-improving iff the superstep rows that probe read (probe_rows[v])
+        # are also untouched, which the monotone move-counter stamps check in
+        # O(|rows|).  fresh[v]: v's row of the pass-level candidate mask still
+        # matches candidate_moves(v).  dirty_stamp[v]: the move counter when an
+        # applied move last invalidated v's probe dependencies — prefetched
+        # batch results are consumed only if both their rows and their node
+        # survived every move applied since the batch was probed.
+        clean = np.zeros(n, dtype=bool)
+        fresh = np.zeros(n, dtype=bool)
+        probe_stamp = np.zeros(n, dtype=np.int64)
+        dirty_stamp = np.zeros(n, dtype=np.int64)
+        probe_rows: List[Optional[np.ndarray]] = [None] * n
+        row_stamp = np.zeros(state.S, dtype=np.int64)
+        move_counter = 0
 
-    def stamp_rows(rows: np.ndarray) -> None:
-        nonlocal row_stamp
-        if rows.size:
-            if int(rows[-1]) >= row_stamp.size:  # rows are sorted unique
+        def stamp_rows(rows: np.ndarray) -> None:
+            nonlocal row_stamp
+            if rows.size:
+                if int(rows[-1]) >= row_stamp.size:  # rows are sorted unique
+                    row_stamp = np.concatenate(
+                        [row_stamp, np.zeros(int(rows[-1]) + 1 - row_stamp.size, dtype=np.int64)]
+                    )
+                row_stamp[rows] = move_counter
+
+        def rows_unchanged_since(rows: np.ndarray, stamp: int) -> bool:
+            nonlocal row_stamp
+            if rows.size == 0:
+                return True
+            if int(rows[-1]) >= row_stamp.size:
                 row_stamp = np.concatenate(
                     [row_stamp, np.zeros(int(rows[-1]) + 1 - row_stamp.size, dtype=np.int64)]
                 )
-            row_stamp[rows] = move_counter
+            return int(row_stamp[rows].max()) <= stamp
 
-    def rows_unchanged_since(rows: np.ndarray, stamp: int) -> bool:
-        nonlocal row_stamp
-        if rows.size == 0:
-            return True
-        if int(rows[-1]) >= row_stamp.size:
-            row_stamp = np.concatenate(
-                [row_stamp, np.zeros(int(rows[-1]) + 1 - row_stamp.size, dtype=np.int64)]
-            )
-        return int(row_stamp[rows].max()) <= stamp
+        def probe_still_clean(v: int) -> bool:
+            rows = probe_rows[v]
+            return rows is not None and rows_unchanged_since(rows, int(probe_stamp[v]))
 
-    def probe_still_clean(v: int) -> bool:
-        rows = probe_rows[v]
-        return rows is not None and rows_unchanged_since(rows, int(probe_stamp[v]))
+        # Prefetched probes: v -> (moves, deltas, rows, stamp).  Valid at v's
+        # turn iff no applied move since `stamp` invalidated v's dependencies or
+        # touched `rows` — in which case the cached deltas equal a fresh probe.
+        cache: dict = {}
 
-    # Prefetched probes: v -> (moves, deltas, rows, stamp).  Valid at v's
-    # turn iff no applied move since `stamp` invalidated v's dependencies or
-    # touched `rows` — in which case the cached deltas equal a fresh probe.
-    cache: dict = {}
+        def skippable(w: int) -> bool:
+            if fresh[w] and not has_cands[w]:
+                return True
+            return bool(clean[w]) and probe_still_clean(w)
 
-    def skippable(w: int) -> bool:
-        if fresh[w] and not has_cands[w]:
-            return True
-        return bool(clean[w]) and probe_still_clean(w)
-
-    improved_any = True
-    while improved_any and not out_of_budget():
-        improved_any = False
-        passes += 1
-        # One vectorized pass builds every node's candidate neighbourhood.
-        mask = state.candidate_mask()
-        has_cands = mask.any(axis=(1, 2))
-        fresh[:] = True
-        cache.clear()
-        for v in range(n):
-            if skippable(v):
-                continue
-            ent = cache.get(v)
-            if ent is not None:
-                moves, deltas, rows, stamp = ent
-                if int(dirty_stamp[v]) > stamp or not rows_unchanged_since(rows, stamp):
-                    del cache[v]
-                    ent = None
-            if ent is None:
-                # Refill: probe v plus the next eligible nodes in one batch.
-                batch = []
-                w = v
-                while w < n and len(batch) < _BATCH:
-                    if not skippable(w):
-                        entw = cache.get(w)
-                        if entw is not None and (
-                            int(dirty_stamp[w]) > entw[3]
-                            or not rows_unchanged_since(entw[2], entw[3])
-                        ):
-                            # Invalidated prefetch: reclaim the slot so the
-                            # node rides along in this batch.
-                            del cache[w]
-                            entw = None
-                        if entw is None:
-                            mv = (
-                                state.moves_from_mask(w, mask[w])
-                                if fresh[w]
-                                else state.candidate_moves(w)
-                            )
-                            if mv:
-                                batch.append((w, mv))
-                    w += 1
-                if batch:
-                    deltas_many, rows_many = state.move_deltas_many(batch)
-                    for (w, mv), dl, rw in zip(batch, deltas_many, rows_many):
-                        cache[w] = (mv, dl, rw, move_counter)
-                ent = cache.pop(v, None)
-                if ent is None:
+        improved_any = True
+        while improved_any and not out_of_budget():
+            improved_any = False
+            passes += 1
+            # One vectorized pass builds every node's candidate neighbourhood.
+            mask = state.candidate_mask()
+            has_cands = mask.any(axis=(1, 2))
+            fresh[:] = True
+            cache.clear()
+            for v in range(n):
+                if skippable(v):
                     continue
-                moves, deltas, rows, stamp = ent
-            else:
-                del cache[v]
-            if out_of_budget():
-                break
-            if variant == "first":
-                improving = np.nonzero(deltas < -_EPS)[0]
-                chosen = int(improving[0]) if improving.size else None
-            else:
-                chosen = int(np.argmin(deltas))
-                if deltas[chosen] >= -_EPS:
-                    chosen = None
-            if chosen is None:
-                clean[v] = True
-                probe_stamp[v] = stamp
-                probe_rows[v] = rows
-                continue
-            _, p, s = moves[chosen]
-            cross_proc = p != int(state.proc[v])
-            state.apply_move(v, p, s)
-            moves_applied += 1
-            move_counter += 1
-            improved_any = True
-            stamp_rows(state.last_touched_rows)
-            if state.memory_bounded and cross_proc:
-                # Memory headroom changed on two processors; any node's
-                # candidate set may have gained/lost targets.
-                clean[:] = False
-                fresh[:] = False
-                dirty_stamp[:] = move_counter
-            else:
-                deps = state.probe_dependents(v)
-                clean[deps] = False
-                fresh[deps] = False
-                dirty_stamp[deps] = move_counter
-        if _trace.enabled():
-            # Convergence telemetry: one cost-vs-pass sample per scan.  The
-            # hook reads state, never steers the search.
-            tspan.event(
-                "pass", index=passes, cost=float(state.total_cost), moves=moves_applied
-            )
-    reached_local_optimum = not improved_any
+                ent = cache.get(v)
+                if ent is not None:
+                    moves, deltas, rows, stamp = ent
+                    if int(dirty_stamp[v]) > stamp or not rows_unchanged_since(rows, stamp):
+                        del cache[v]
+                        ent = None
+                if ent is None:
+                    # Refill: probe v plus the next eligible nodes in one batch.
+                    batch = []
+                    w = v
+                    while w < n and len(batch) < _BATCH:
+                        if not skippable(w):
+                            entw = cache.get(w)
+                            if entw is not None and (
+                                int(dirty_stamp[w]) > entw[3]
+                                or not rows_unchanged_since(entw[2], entw[3])
+                            ):
+                                # Invalidated prefetch: reclaim the slot so the
+                                # node rides along in this batch.
+                                del cache[w]
+                                entw = None
+                            if entw is None:
+                                mv = (
+                                    state.moves_from_mask(w, mask[w])
+                                    if fresh[w]
+                                    else state.candidate_moves(w)
+                                )
+                                if mv:
+                                    batch.append((w, mv))
+                        w += 1
+                    if batch:
+                        deltas_many, rows_many = state.move_deltas_many(batch)
+                        for (w, mv), dl, rw in zip(batch, deltas_many, rows_many):
+                            cache[w] = (mv, dl, rw, move_counter)
+                    ent = cache.pop(v, None)
+                    if ent is None:
+                        continue
+                    moves, deltas, rows, stamp = ent
+                else:
+                    del cache[v]
+                if out_of_budget():
+                    break
+                if variant == "first":
+                    improving = np.nonzero(deltas < -_EPS)[0]
+                    chosen = int(improving[0]) if improving.size else None
+                else:
+                    chosen = int(np.argmin(deltas))
+                    if deltas[chosen] >= -_EPS:
+                        chosen = None
+                if chosen is None:
+                    clean[v] = True
+                    probe_stamp[v] = stamp
+                    probe_rows[v] = rows
+                    continue
+                _, p, s = moves[chosen]
+                cross_proc = p != int(state.proc[v])
+                state.apply_move(v, p, s)
+                moves_applied += 1
+                move_counter += 1
+                improved_any = True
+                stamp_rows(state.last_touched_rows)
+                if state.memory_bounded and cross_proc:
+                    # Memory headroom changed on two processors; any node's
+                    # candidate set may have gained/lost targets.
+                    clean[:] = False
+                    fresh[:] = False
+                    dirty_stamp[:] = move_counter
+                else:
+                    deps = state.probe_dependents(v)
+                    clean[deps] = False
+                    fresh[deps] = False
+                    dirty_stamp[deps] = move_counter
+            if _trace.enabled():
+                # Convergence telemetry: one cost-vs-pass sample per scan.  The
+                # hook reads state, never steers the search.
+                tspan.event(
+                    "pass", index=passes, cost=float(state.total_cost), moves=moves_applied
+                )
+        reached_local_optimum = not improved_any
 
-    final = state.to_schedule()
-    result = HillClimbingResult(
-        schedule=final,
-        initial_cost=float(initial_cost),
-        final_cost=float(final.cost()),
-        moves_applied=moves_applied,
-        passes=passes,
-        reached_local_optimum=reached_local_optimum,
-    )
-    if _trace.enabled():
-        tspan.annotate(
-            initial_cost=result.initial_cost,
-            final_cost=result.final_cost,
-            moves=moves_applied,
+        final = state.to_schedule()
+        result = HillClimbingResult(
+            schedule=final,
+            initial_cost=float(initial_cost),
+            final_cost=float(final.cost()),
+            moves_applied=moves_applied,
             passes=passes,
-            engine_transactions=state.engine.transactions,
+            reached_local_optimum=reached_local_optimum,
         )
-    return result
+        if _trace.enabled():
+            tspan.annotate(
+                initial_cost=result.initial_cost,
+                final_cost=result.final_cost,
+                moves=moves_applied,
+                passes=passes,
+                engine_transactions=state.engine.transactions,
+            )
+        return result
 
 
 class HillClimbingImprover:

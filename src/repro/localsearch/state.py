@@ -3,37 +3,40 @@
 The paper's HC algorithm (Section 4.3, Appendix A.3) relies on data
 structures that allow the cost change of a candidate move to be evaluated
 without recomputing the whole schedule cost.  This module provides that
-state for schedules with a *lazy* communication schedule, kept entirely in
-flat numpy arrays (the Dask-scheduler idiom: redundant, constant-time
-structures owned by one kernel layer):
+state for schedules with a *lazy* communication schedule, split between two
+owners:
 
-* the ``(S, P)`` work / send / receive matrices and their per-superstep
-  costs, owned by the shared
-  :class:`~repro.localsearch.engine.IncrementalCostEngine` (both layers go
-  through :func:`repro.model.cost.superstep_matrices` and
-  :func:`repro.model.cost.superstep_row_costs`, so the cost formula has a
-  single source of truth),
-* dense ``(n, P)`` tables ``succ_min`` / ``succ_min_cnt`` / ``succ_cnt``
-  holding, for every node ``u`` and processor ``p``, the earliest superstep
-  of a successor of ``u`` on ``p``, how many successors sit at that earliest
-  step and how many successors are on ``p`` in total — which is exactly the
-  information needed to maintain the (lazy) communication step of every
-  transfer ``u -> p`` in O(1) per move (with an occasional CSR rescan when
-  the minimum disappears),
-* dense ``(n, P)`` step-bound tables ``lo`` / ``hi`` giving, for every node
-  and target processor, the window of supersteps the node may legally move
-  to.  They are built in one vectorized pass over the CSR edge arrays and
-  patched lazily for the few nodes whose neighbourhood an applied move
-  touched, so per-node candidate generation never rescans adjacency in
-  Python.
+* the ``(S, P)`` work / send / receive matrices, their per-superstep costs
+  and the total live on the shared
+  :class:`~repro.localsearch.engine.IncrementalCostEngine`; they are built
+  by :func:`repro.model.cost.superstep_matrices` and priced by the same
+  kernels as :mod:`repro.model.cost`, so the cost formula has a single
+  source of truth;
+* the node tables live here: the assignment ``proc`` / ``step``, the dense
+  ``(n, P)`` tables ``succ_min`` / ``succ_min_cnt`` / ``succ_cnt`` (for
+  every node ``u`` and processor ``p``: the earliest superstep of a
+  successor of ``u`` on ``p``, how many successors sit at that step and how
+  many are on ``p`` in total — exactly what keeps the lazy communication
+  step of every transfer ``u -> p`` in O(1) per move, with an occasional CSR
+  rescan when the minimum disappears), the per-processor memory usage, and
+  the dense ``(n, P)`` step-bound tables ``lo`` / ``hi`` giving the window
+  of supersteps each node may legally move to (built in one vectorized pass
+  over the CSR edge arrays and patched lazily for the nodes an applied move
+  touched).
 
-Moves are applied with :meth:`LocalSearchState.apply_move`; candidate moves
-are probed with :meth:`LocalSearchState.move_delta`, which computes the cost
-change and leaves the state unchanged.  Both the hill-climbing variants and
-simulated annealing share these two entry points.  For pass-level searches,
-:meth:`LocalSearchState.candidate_mask` exposes the whole move neighbourhood
-(step bounds and memory feasibility included) as one dense boolean array,
-and :meth:`LocalSearchState.probe_dependents` names the nodes whose probe
+:meth:`LocalSearchState.apply_move` updates the node tables and turns the
+move into its matrix cell deltas, which it hands to
+:meth:`IncrementalCostEngine.apply_cells` as one transaction — the engine's
+only mutation path, so its transaction count and touched rows are true for
+every move.  Candidate moves are probed with
+:meth:`LocalSearchState.move_deltas_many` (and its single-node forms
+:meth:`~LocalSearchState.move_deltas` / :meth:`~LocalSearchState.move_delta`),
+which compute cost changes on copies of the affected rows and leave the
+state unchanged.  Hill climbing and simulated annealing share these entry
+points.  For pass-level searches, :meth:`LocalSearchState.candidate_mask`
+exposes the whole move neighbourhood (step bounds and memory feasibility
+included) as one dense boolean array, and
+:meth:`LocalSearchState.probe_dependents` names the nodes whose probe
 results an applied move can invalidate — which is what lets
 :func:`~repro.localsearch.hill_climbing.hill_climb` skip re-probing nodes
 whose neighbourhood provably did not change.
@@ -49,7 +52,7 @@ from ..graphs.dag import ComputationalDAG
 from ..model.cost import superstep_matrices
 from ..model.machine import MEMORY_EPS, BspMachine
 from ..model.schedule import BspSchedule
-from .engine import IncrementalCostEngine
+from .engine import RECV, SEND, WORK, Cell, IncrementalCostEngine
 
 __all__ = ["LocalSearchState", "Move"]
 
@@ -153,9 +156,6 @@ class LocalSearchState:
         #: (the probe's delta is a pure function of these rows plus the
         #: probed node's 2-hop neighbourhood assignments).
         self.last_probe_rows: np.ndarray = _EMPTY_ROWS
-        #: Superstep rows whose matrices the most recent :meth:`apply_move`
-        #: changed (unique, within range).
-        self.last_touched_rows: np.ndarray = _EMPTY_ROWS
 
     # ------------------------------------------------------------------
     # Engine delegation (the matrices live on the shared engine)
@@ -183,6 +183,11 @@ class LocalSearchState:
     @property
     def S(self) -> int:
         return self.engine.S
+
+    @property
+    def last_touched_rows(self) -> np.ndarray:
+        """Sorted superstep rows the most recent :meth:`apply_move` changed."""
+        return self.engine.last_rows
 
     @property
     def memory_bounded(self) -> bool:
@@ -451,47 +456,38 @@ class LocalSearchState:
     # ------------------------------------------------------------------
     # Applying moves
     # ------------------------------------------------------------------
-    def _apply_raw(self, v: int, new_proc: int, new_step: int, touched: List[int]) -> None:
-        """Update all matrices and tables for the move, without refreshing
-        the per-step costs; affected superstep rows are appended to
-        ``touched``."""
+    def _move_cells(self, v: int, new_proc: int, new_step: int) -> List[Cell]:
+        """Commit the move to the node tables; return its matrix cell deltas.
+
+        ``proc`` / ``step``, the successor-step tables, the memory usage and
+        the dirty marks of the step-bound tables are updated here; the
+        ``(matrix, row, col, value)`` cells are returned in the order
+        :meth:`IncrementalCostEngine.apply_cells` must add them.
+        """
         old_proc = int(self.proc[v])
         old_step = int(self.step[v])
-        touched.append(old_step)
-        touched.append(new_step)
-        engine = self.engine
-        send = engine.send
-        recv = engine.recv
 
         # --- work matrix -------------------------------------------------
         w_v = self._work_list[v]
-        engine.work[old_step, old_proc] -= w_v
-        engine.work[new_step, new_proc] += w_v
+        cells: List[Cell] = [(WORK, old_step, old_proc, -w_v), (WORK, new_step, new_proc, w_v)]
 
         # --- outgoing transfers of v (v as the producer) -------------------
         # The set of target processors and their needed steps do not change,
         # but the source processor (and hence the NUMA weight and the sending
         # processor's load) does, and targets equal to the old/new processor
-        # appear/disappear.  One vectorized scatter per matrix replaces the
-        # per-processor python loop (np.add.at keeps duplicate target rows
-        # accumulating in the same ascending-q order as the loop did).
+        # appear/disappear: remove every transfer from the old processor,
+        # then add every transfer from the new one.
         c_v = self._comm_list[v]
-        nd = np.fromiter(self.succ_min[v], dtype=np.int64, count=self.P)
-        targets_q = np.nonzero(nd < _NO_STEP)[0]
-        if targets_q.size:
-            rows = nd[targets_q] - 1
-            old_mask = targets_q != old_proc
-            if old_mask.any():
-                volumes = c_v * self.numa[old_proc, targets_q[old_mask]]
-                np.subtract.at(send, (rows[old_mask], old_proc), volumes)
-                np.subtract.at(recv, (rows[old_mask], targets_q[old_mask]), volumes)
-                touched.extend(rows[old_mask].tolist())
-            new_mask = targets_q != new_proc
-            if new_mask.any():
-                volumes = c_v * self.numa[new_proc, targets_q[new_mask]]
-                np.add.at(send, (rows[new_mask], new_proc), volumes)
-                np.add.at(recv, (rows[new_mask], targets_q[new_mask]), volumes)
-                touched.extend(rows[new_mask].tolist())
+        numa = self._numa_list
+        needed = [(q, nd - 1) for q, nd in enumerate(self.succ_min[v]) if nd < _NO_STEP]
+        for q, row in needed:
+            if q != old_proc:
+                volume = c_v * numa[old_proc][q]
+                cells += ((SEND, row, old_proc, -volume), (RECV, row, q, -volume))
+        for q, row in needed:
+            if q != new_proc:
+                volume = c_v * numa[new_proc][q]
+                cells += ((SEND, row, new_proc, volume), (RECV, row, q, volume))
 
         # Commit v's new position before touching the successor tables of its
         # parents: the rescan inside _succ_dec reads proc/step and must see
@@ -506,7 +502,6 @@ class LocalSearchState:
         # --- incoming transfers (v as a consumer of its predecessors) ------
         # The only target processors whose "first needed" superstep can
         # change are v's old and new processor.
-        numa = self._numa_list
         targets = (old_proc,) if new_proc == old_proc else (old_proc, new_proc)
         for u in self._pred_indices[self._pred_indptr[v]:self._pred_indptr[v + 1]].tolist():
             pu = int(self.proc[u])
@@ -528,13 +523,15 @@ class LocalSearchState:
                     continue
                 volume = self._comm_list[u] * numa[pu][q]
                 if was_needed < _NO_STEP:
-                    send[was_needed - 1, pu] -= volume
-                    recv[was_needed - 1, q] -= volume
-                    touched.append(was_needed - 1)
+                    cells += (
+                        (SEND, was_needed - 1, pu, -volume),
+                        (RECV, was_needed - 1, q, -volume),
+                    )
                 if now_needed < _NO_STEP:
-                    send[now_needed - 1, pu] += volume
-                    recv[now_needed - 1, q] += volume
-                    touched.append(now_needed - 1)
+                    cells += (
+                        (SEND, now_needed - 1, pu, volume),
+                        (RECV, now_needed - 1, q, volume),
+                    )
 
         # The step bounds of v's neighbours depend on v's assignment; patch
         # their dense rows lazily on next access.
@@ -544,23 +541,17 @@ class LocalSearchState:
         self._bounds_dirty[
             self._succ_indices[self._succ_indptr[v]:self._succ_indptr[v + 1]]
         ] = True
+        return cells
 
     def apply_move(self, v: int, new_proc: int, new_step: int) -> float:
         """Apply the move and return the new total cost.
 
+        One :meth:`IncrementalCostEngine.apply_cells` transaction per move.
         The caller is responsible for only applying valid moves (see
         :meth:`is_move_valid`); to revert, apply the inverse move with the
         node's previous processor and superstep.
         """
-        engine = self.engine
-        engine.ensure_capacity(new_step)
-        touched: List[int] = []
-        self._apply_raw(v, new_proc, new_step, touched)
-        rows = np.unique(np.fromiter(touched, dtype=np.int64))
-        rows = rows[(rows >= 0) & (rows < engine.S)]
-        self.last_touched_rows = rows
-        engine.refresh_rows(rows)
-        return engine.total_cost
+        return self.engine.apply_cells(self._move_cells(v, new_proc, new_step))
 
     def move_deltas_many(
         self, items: Sequence[Tuple[int, Sequence[Move]]]

@@ -46,7 +46,6 @@ class PipelineConfig:
     ilp_cs_time_limit: Optional[float] = 10.0
 
     # --- misc -----------------------------------------------------------
-    solver_backend: str = "highs"
     cilk_seed: int = 0
 
     # ------------------------------------------------------------------

@@ -79,7 +79,6 @@ def _initializers(machine: BspMachine, config: PipelineConfig) -> List[Scheduler
             IlpInitScheduler(
                 max_variables=config.ilp_init_max_variables,
                 time_limit_per_batch=config.ilp_init_time_limit,
-                backend=config.solver_backend,
             )
         )
     if not inits:
@@ -96,129 +95,116 @@ def run_pipeline(
     if config is None:
         config = PipelineConfig()
     with _trace.span("pipeline", nodes=dag.n, P=machine.P) as tspan:
-        return _run_pipeline(dag, machine, config, tspan)
+        stage_seconds: Dict[str, float] = {}
 
+        # ------------------------------------------------------------------
+        # Stage 1: initialization heuristics
+        # ------------------------------------------------------------------
+        t0 = time.monotonic()
+        with _trace.span("init") as stage_span:
+            init_schedules: List[Tuple[str, BspSchedule]] = []
+            initializer_costs: Dict[str, float] = {}
+            for scheduler in _initializers(machine, config):
+                sched = scheduler.schedule(dag, machine)
+                init_schedules.append((scheduler.name, sched))
+                initializer_costs[scheduler.name] = float(sched.cost())
+            best_init_name, best_init_schedule = min(init_schedules, key=lambda kv: kv[1].cost())
+            init_cost = float(best_init_schedule.cost())
+            if _trace.enabled():
+                stage_span.annotate(best=best_init_name, cost=init_cost)
+        stage_seconds["init"] = time.monotonic() - t0
 
-def _run_pipeline(
-    dag: ComputationalDAG,
-    machine: BspMachine,
-    config: PipelineConfig,
-    tspan: "_trace.SpanLike",
-) -> PipelineResult:
-    stage_seconds: Dict[str, float] = {}
+        # ------------------------------------------------------------------
+        # Stage 2: HC + HCcs on every initial schedule, keep the best
+        # ------------------------------------------------------------------
+        t0 = time.monotonic()
+        with _trace.span("local_search") as stage_span:
+            best_schedule: Optional[BspSchedule] = None
+            best_cost = float("inf")
+            for _, sched in init_schedules:
+                hc_result = hill_climb(
+                    sched,
+                    variant=config.hc_variant,
+                    max_moves=config.hc_max_moves,
+                    time_limit=config.hc_time_limit,
+                )
+                improved = comm_hill_climb(
+                    hc_result.schedule, time_limit=config.hccs_time_limit
+                ).schedule
+                cost = float(improved.cost())
+                if cost < best_cost:
+                    best_cost = cost
+                    best_schedule = improved
+            assert best_schedule is not None
+            local_search_cost = best_cost
+            if _trace.enabled():
+                stage_span.annotate(cost=local_search_cost)
+        stage_seconds["local_search"] = time.monotonic() - t0
 
-    # ------------------------------------------------------------------
-    # Stage 1: initialization heuristics
-    # ------------------------------------------------------------------
-    t0 = time.monotonic()
-    with _trace.span("init") as stage_span:
-        init_schedules: List[Tuple[str, BspSchedule]] = []
-        initializer_costs: Dict[str, float] = {}
-        for scheduler in _initializers(machine, config):
-            sched = scheduler.schedule(dag, machine)
-            init_schedules.append((scheduler.name, sched))
-            initializer_costs[scheduler.name] = float(sched.cost())
-        best_init_name, best_init_schedule = min(init_schedules, key=lambda kv: kv[1].cost())
-        init_cost = float(best_init_schedule.cost())
+        # ------------------------------------------------------------------
+        # Stage 3: ILP-based methods
+        # ------------------------------------------------------------------
+        t0 = time.monotonic()
+        with _trace.span("ilp") as stage_span:
+            current = best_schedule
+            current_cost = best_cost
+
+            num_supersteps = max(current.num_supersteps, 1)
+            full_applicable = (
+                config.use_ilp_full
+                and estimate_variable_count(dag.n, num_supersteps, machine.P)
+                <= config.ilp_full_max_variables
+            )
+            if full_applicable:
+                solved = solve_full_ilp(
+                    dag,
+                    machine,
+                    num_supersteps,
+                    time_limit=config.ilp_full_time_limit,
+                )
+                if solved is not None and solved.cost() < current_cost:
+                    current = solved
+                    current_cost = float(solved.cost())
+
+            if config.use_ilp_partial and not full_applicable:
+                improver = PartialIlpImprover(
+                    max_variables=config.ilp_partial_max_variables,
+                    time_limit_per_window=config.ilp_partial_time_limit,
+                )
+                improved = improver.improve(current)
+                if improved.cost() < current_cost:
+                    current = improved
+                    current_cost = float(improved.cost())
+
+            ilp_assignment_cost = current_cost
+
+            if config.use_ilp_cs:
+                improver_cs = CommScheduleIlpImprover(time_limit=config.ilp_cs_time_limit)
+                improved = improver_cs.improve(current)
+                if improved.cost() <= current_cost:
+                    current = improved
+                    current_cost = float(improved.cost())
+            if _trace.enabled():
+                stage_span.annotate(full_ilp=full_applicable, cost=current_cost)
+        stage_seconds["ilp"] = time.monotonic() - t0
+
         if _trace.enabled():
-            stage_span.annotate(best=best_init_name, cost=init_cost)
-    stage_seconds["init"] = time.monotonic() - t0
-
-    # ------------------------------------------------------------------
-    # Stage 2: HC + HCcs on every initial schedule, keep the best
-    # ------------------------------------------------------------------
-    t0 = time.monotonic()
-    with _trace.span("local_search") as stage_span:
-        best_schedule: Optional[BspSchedule] = None
-        best_cost = float("inf")
-        for _, sched in init_schedules:
-            hc_result = hill_climb(
-                sched,
-                variant=config.hc_variant,
-                max_moves=config.hc_max_moves,
-                time_limit=config.hc_time_limit,
+            tspan.annotate(
+                init_cost=init_cost,
+                local_search_cost=local_search_cost,
+                final_cost=current_cost,
+                best_initializer=best_init_name,
             )
-            improved = comm_hill_climb(
-                hc_result.schedule, time_limit=config.hccs_time_limit
-            ).schedule
-            cost = float(improved.cost())
-            if cost < best_cost:
-                best_cost = cost
-                best_schedule = improved
-        assert best_schedule is not None
-        local_search_cost = best_cost
-        if _trace.enabled():
-            stage_span.annotate(cost=local_search_cost)
-    stage_seconds["local_search"] = time.monotonic() - t0
-
-    # ------------------------------------------------------------------
-    # Stage 3: ILP-based methods
-    # ------------------------------------------------------------------
-    t0 = time.monotonic()
-    with _trace.span("ilp") as stage_span:
-        current = best_schedule
-        current_cost = best_cost
-
-        num_supersteps = max(current.num_supersteps, 1)
-        full_applicable = (
-            config.use_ilp_full
-            and estimate_variable_count(dag.n, num_supersteps, machine.P)
-            <= config.ilp_full_max_variables
-        )
-        if full_applicable:
-            solved = solve_full_ilp(
-                dag,
-                machine,
-                num_supersteps,
-                time_limit=config.ilp_full_time_limit,
-                backend=config.solver_backend,
-            )
-            if solved is not None and solved.cost() < current_cost:
-                current = solved
-                current_cost = float(solved.cost())
-
-        if config.use_ilp_partial and not full_applicable:
-            improver = PartialIlpImprover(
-                max_variables=config.ilp_partial_max_variables,
-                time_limit_per_window=config.ilp_partial_time_limit,
-                backend=config.solver_backend,
-            )
-            improved = improver.improve(current)
-            if improved.cost() < current_cost:
-                current = improved
-                current_cost = float(improved.cost())
-
-        ilp_assignment_cost = current_cost
-
-        if config.use_ilp_cs:
-            improver_cs = CommScheduleIlpImprover(
-                time_limit=config.ilp_cs_time_limit, backend=config.solver_backend
-            )
-            improved = improver_cs.improve(current)
-            if improved.cost() <= current_cost:
-                current = improved
-                current_cost = float(improved.cost())
-        if _trace.enabled():
-            stage_span.annotate(full_ilp=full_applicable, cost=current_cost)
-    stage_seconds["ilp"] = time.monotonic() - t0
-
-    if _trace.enabled():
-        tspan.annotate(
+        return PipelineResult(
+            schedule=current,
             init_cost=init_cost,
             local_search_cost=local_search_cost,
             final_cost=current_cost,
             best_initializer=best_init_name,
+            ilp_assignment_cost=ilp_assignment_cost,
+            initializer_costs=initializer_costs,
+            stage_seconds=stage_seconds,
         )
-    return PipelineResult(
-        schedule=current,
-        init_cost=init_cost,
-        local_search_cost=local_search_cost,
-        final_cost=current_cost,
-        best_initializer=best_init_name,
-        ilp_assignment_cost=ilp_assignment_cost,
-        initializer_costs=initializer_costs,
-        stage_seconds=stage_seconds,
-    )
 
 
 class FrameworkScheduler(Scheduler):

@@ -453,13 +453,11 @@ def _make_ilp_init(
     max_variables: int = 2000,
     supersteps_per_batch: int = 3,
     time_limit: Optional[float] = 15.0,
-    backend: str = "highs",
 ) -> Scheduler:
     return IlpInitScheduler(
         max_variables=max_variables,
         supersteps_per_batch=supersteps_per_batch,
         time_limit_per_batch=time_limit,
-        backend=backend,
     )
 
 
@@ -473,14 +471,12 @@ def _make_ilp_init(
 def _make_ilp_full(
     time_limit: Optional[float] = 60.0,
     max_variables: int = 20_000,
-    backend: str = "highs",
     init: str = "bspg",
 ) -> Scheduler:
     return IlpFullScheduler(
         initializer=make_scheduler(init),
         time_limit=time_limit,
         max_variables=max_variables,
-        backend=backend,
     )
 
 

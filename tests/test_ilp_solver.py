@@ -1,10 +1,147 @@
-"""Tests for the MILP solver backends (HiGHS and branch-and-bound)."""
+"""Tests for the MILP solver (HiGHS), cross-checked by a branch-and-bound oracle.
 
+The oracle is a small pure-Python best-first branch and bound over the LP
+relaxation (``scipy.optimize.linprog``), branching on the most fractional
+integer variable.  It is an independent solver for tiny models only.
+"""
+
+import heapq
+import itertools
+import time
+from typing import List, Optional, Tuple
+
+import numpy as np
 import pytest
 
-from repro.ilp.bnb import solve_branch_and_bound
 from repro.ilp.model import IlpModel
-from repro.ilp.solver import SolverStatus, solve, solve_with_highs
+from repro.ilp.solver import SolverResult, SolverStatus, solve
+
+_INT_TOL = 1e-6
+
+
+def _solve_relaxation(model: IlpModel, lb: np.ndarray, ub: np.ndarray):
+    """LP relaxation with the given variable bounds; returns (obj, x) or None."""
+    from scipy.optimize import linprog
+
+    c, A, c_lb, c_ub, _, _, _ = model.to_arrays()
+    # linprog wants A_ub x <= b_ub and A_eq x = b_eq; split two-sided rows.
+    import scipy.sparse as sp
+
+    A = sp.csr_matrix(A)
+    ub_rows = []
+    ub_rhs = []
+    eq_rows = []
+    eq_rhs = []
+    for r in range(A.shape[0]):
+        row = A.getrow(r)
+        lo, hi = c_lb[r], c_ub[r]
+        if np.isfinite(lo) and np.isfinite(hi) and lo == hi:
+            eq_rows.append(row)
+            eq_rhs.append(lo)
+            continue
+        if np.isfinite(hi):
+            ub_rows.append(row)
+            ub_rhs.append(hi)
+        if np.isfinite(lo):
+            ub_rows.append(-row)
+            ub_rhs.append(-lo)
+    A_ub = sp.vstack(ub_rows) if ub_rows else None
+    A_eq = sp.vstack(eq_rows) if eq_rows else None
+    bounds = list(zip(lb.tolist(), [x if np.isfinite(x) else None for x in ub.tolist()]))
+    res = linprog(
+        c,
+        A_ub=A_ub,
+        b_ub=np.array(ub_rhs) if ub_rhs else None,
+        A_eq=A_eq,
+        b_eq=np.array(eq_rhs) if eq_rhs else None,
+        bounds=bounds,
+        method="highs",
+    )
+    if not res.success:
+        return None
+    return float(res.fun), np.asarray(res.x)
+
+
+def solve_branch_and_bound(
+    model: IlpModel,
+    time_limit: Optional[float] = None,
+    max_nodes: int = 20_000,
+) -> SolverResult:
+    """Best-first branch and bound over the LP relaxation."""
+    n = model.num_variables
+    lb0 = np.array(model.var_lb, dtype=np.float64)
+    ub0 = np.array(model.var_ub, dtype=np.float64)
+    integer_vars = [i for i in range(n) if model.var_integer[i]]
+
+    start = time.monotonic()
+    counter = itertools.count()
+
+    root = _solve_relaxation(model, lb0, ub0)
+    if root is None:
+        return SolverResult(SolverStatus.INFEASIBLE, None, None)
+
+    best_obj = np.inf
+    best_x: Optional[np.ndarray] = None
+    # heap of (relaxation bound, tie-breaker, lb, ub)
+    heap: List[Tuple[float, int, np.ndarray, np.ndarray]] = [
+        (root[0], next(counter), lb0, ub0)
+    ]
+    nodes_explored = 0
+    timed_out = False
+
+    while heap:
+        if time_limit is not None and time.monotonic() - start > time_limit:
+            timed_out = True
+            break
+        if nodes_explored >= max_nodes:
+            timed_out = True
+            break
+        bound, _, lb, ub = heapq.heappop(heap)
+        if bound >= best_obj - 1e-9:
+            continue
+        relax = _solve_relaxation(model, lb, ub)
+        nodes_explored += 1
+        if relax is None:
+            continue
+        obj, x = relax
+        if obj >= best_obj - 1e-9:
+            continue
+        # Find the most fractional integer variable.
+        frac_var = -1
+        frac_dist = _INT_TOL
+        for i in integer_vars:
+            frac = abs(x[i] - round(x[i]))
+            if frac > frac_dist:
+                frac_dist = frac
+                frac_var = i
+        if frac_var == -1:
+            # Integral solution.
+            if obj < best_obj:
+                best_obj = obj
+                best_x = x.copy()
+                for i in integer_vars:
+                    best_x[i] = round(best_x[i])
+            continue
+        floor_val = np.floor(x[frac_var])
+        # Down branch.
+        ub_down = ub.copy()
+        ub_down[frac_var] = floor_val
+        if ub_down[frac_var] >= lb[frac_var]:
+            heapq.heappush(heap, (obj, next(counter), lb.copy(), ub_down))
+        # Up branch.
+        lb_up = lb.copy()
+        lb_up[frac_var] = floor_val + 1
+        if lb_up[frac_var] <= ub[frac_var]:
+            heapq.heappush(heap, (obj, next(counter), lb_up, ub.copy()))
+
+    if best_x is None:
+        if timed_out:
+            return SolverResult(SolverStatus.NO_SOLUTION, None, None)
+        return SolverResult(SolverStatus.INFEASIBLE, None, None)
+    status = SolverStatus.FEASIBLE if (timed_out or heap) else SolverStatus.OPTIMAL
+    return SolverResult(status, best_obj + model.objective_constant, best_x)
+
+
 
 
 def knapsack_model():
@@ -39,7 +176,7 @@ def fractional_lp_model():
 class TestHighsBackend:
     def test_knapsack_optimum(self):
         model, (x, y, z) = knapsack_model()
-        result = solve_with_highs(model)
+        result = solve(model)
         assert result.status == SolverStatus.OPTIMAL
         assert result.objective == pytest.approx(-9.0)
         # The selected items must satisfy the capacity and reach profit 9.
@@ -49,7 +186,7 @@ class TestHighsBackend:
         assert weight <= 5.0 + 1e-9
 
     def test_infeasible_detected(self):
-        result = solve_with_highs(infeasible_model())
+        result = solve(infeasible_model())
         assert result.status == SolverStatus.INFEASIBLE
         assert not result.has_solution
         with pytest.raises(ValueError):
@@ -58,7 +195,7 @@ class TestHighsBackend:
     def test_objective_constant_included(self):
         model, _ = knapsack_model()
         model.objective_constant = 100.0
-        result = solve_with_highs(model)
+        result = solve(model)
         assert result.objective == pytest.approx(91.0)
 
 
@@ -66,7 +203,7 @@ class TestBranchAndBoundBackend:
     def test_matches_highs_on_knapsack(self):
         model, _ = knapsack_model()
         bnb = solve_branch_and_bound(model)
-        highs = solve_with_highs(model)
+        highs = solve(model)
         assert bnb.status in (SolverStatus.OPTIMAL, SolverStatus.FEASIBLE)
         assert bnb.objective == pytest.approx(highs.objective)
 
@@ -83,15 +220,3 @@ class TestBranchAndBoundBackend:
     def test_respects_node_limit(self):
         result = solve_branch_and_bound(fractional_lp_model(), max_nodes=0)
         assert result.status in (SolverStatus.NO_SOLUTION, SolverStatus.FEASIBLE, SolverStatus.OPTIMAL)
-
-
-class TestDispatcher:
-    def test_backend_selection(self):
-        model, _ = knapsack_model()
-        assert solve(model, backend="highs").objective == pytest.approx(-9.0)
-        assert solve(model, backend="bnb").objective == pytest.approx(-9.0)
-
-    def test_unknown_backend_rejected(self):
-        model, _ = knapsack_model()
-        with pytest.raises(ValueError):
-            solve(model, backend="gurobi")

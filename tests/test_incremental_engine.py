@@ -1,11 +1,12 @@
 """Property-based equivalence of :class:`IncrementalCostEngine`.
 
 The engine is the shared incremental-cost substrate of hill climbing,
-simulated annealing and the communication hill climber.  These tests drive
-it with random cell transactions and assert that its running totals always
-equal a from-scratch evaluation through the reference kernels in
-:mod:`repro.model.cost` — and that the fused block kernel is *bitwise*
-interchangeable with the row kernel it shortcuts.
+simulated annealing and the communication hill climber, and
+:meth:`~IncrementalCostEngine.apply_cells` is its only mutation path.
+These tests drive it with random cell transactions and assert that its
+running totals always equal a from-scratch evaluation through the reference
+kernels in :mod:`repro.model.cost` — and that the fused block kernel is
+*bitwise* interchangeable with the row kernel it shortcuts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.localsearch.engine import RECV, SEND, WORK, IncrementalCostEngine
+from repro.localsearch.state import LocalSearchState
 from repro.model.cost import superstep_block_costs, superstep_row_costs
+from repro.registry import make_scheduler
 
 
 @st.composite
@@ -24,7 +27,7 @@ def matrices(draw):
     P = draw(st.sampled_from([1, 2, 4]))
     def mat():
         # Quarter-integer grid: all engine arithmetic on these values is
-        # exact in binary64, so undo round-trips can be checked bitwise.
+        # exact in binary64.
         vals = draw(
             st.lists(
                 st.integers(min_value=0, max_value=80), min_size=S * P, max_size=S * P
@@ -69,34 +72,14 @@ class TestEngineMatchesReferenceKernels:
         """Running total tracks the reference kernel through any apply sequence."""
         engine = data.draw(engines(), label="engine")
         assert engine.total_cost == pytest.approx(_reference_total(engine))
-        for _ in range(data.draw(st.integers(min_value=1, max_value=10), label="txns")):
+        txns = data.draw(st.integers(min_value=1, max_value=10), label="txns")
+        for count in range(1, txns + 1):
             cells = data.draw(transactions(engine), label="cells")
-            predicted = engine.total_cost + engine.probe_cells(cells)
             applied = engine.apply_cells(cells)
-            # probe_cells promised exactly what apply_cells then delivered.
-            assert applied == pytest.approx(predicted)
+            assert applied == engine.total_cost
             assert engine.total_cost == pytest.approx(_reference_total(engine))
-            assert engine.total_cost == pytest.approx(engine.recompute_total())
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_undo_round_trip(self, data):
-        """undo() restores matrices, per-row costs and the total exactly."""
-        engine = data.draw(engines(), label="engine")
-        snapshot_mats = engine.mats.copy()
-        snapshot_cost = engine.step_cost.copy()
-        snapshot_total = engine.total_cost
-        depth = data.draw(st.integers(min_value=1, max_value=6), label="depth")
-        for _ in range(depth):
-            engine.apply_cells(data.draw(transactions(engine), label="cells"))
-        for _ in range(depth):
-            engine.undo()
-        assert np.array_equal(engine.mats[:, : snapshot_mats.shape[1]], snapshot_mats)
-        assert engine.step_cost[: snapshot_cost.size] == pytest.approx(snapshot_cost)
-        assert engine.total_cost == pytest.approx(snapshot_total)
-        assert engine.journal_depth == 0
-        with pytest.raises(IndexError):
-            engine.undo()
+            assert engine.transactions == count
+            assert engine.last_rows.tolist() == sorted({cell[1] for cell in cells})
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -116,7 +99,7 @@ class TestEngineMatchesReferenceKernels:
         )
         engine.apply_cells([(SEND, 1, 0, 3.0), (RECV, 4, 1, 2.0)])
         assert engine.step_cost_list == engine.step_cost.tolist()
-        engine.undo()
+        engine.apply_cells([(SEND, 1, 0, -3.0), (RECV, 9, 1, 1.0)])
         assert engine.step_cost_list == engine.step_cost.tolist()
 
     def test_capacity_growth_preserves_totals(self):
@@ -127,17 +110,15 @@ class TestEngineMatchesReferenceKernels:
         engine.ensure_capacity(25)
         assert engine.S >= 26
         assert engine.total_cost == before
-        assert engine.total_cost == pytest.approx(engine.recompute_total())
+        assert engine.total_cost == pytest.approx(_reference_total(engine))
 
 
 class TestNegativeRowValidation:
     """Regression: a negative row must raise, not wrap to the last superstep.
 
-    numpy indexing would silently apply the delta to row ``S - 1`` while
-    ``refresh_rows`` filters negatives out — leaving ``total_cost`` stale
-    relative to the matrices, the exact desynchronization the incremental
-    engine exists to prevent (and ``probe_cells`` raised an incidental
-    ``KeyError`` on the same input).
+    numpy indexing would silently apply the delta to row ``S - 1`` — leaving
+    ``total_cost`` stale relative to the matrices, the exact
+    desynchronization the incremental engine exists to prevent.
     """
 
     def _engine(self) -> IncrementalCostEngine:
@@ -149,29 +130,41 @@ class TestNegativeRowValidation:
         engine = self._engine()
         mats_before = engine.mats.copy()
         total_before = engine.total_cost
-        depth_before = engine.journal_depth
         with pytest.raises(ValueError, match="negative superstep row"):
             engine.apply_cells([(WORK, 1, 0, 2.0), (SEND, -1, 0, 5.0)])
         # The failed transaction must leave no trace: no matrix write, no
-        # journal entry, totals still equal to a from-scratch recompute.
+        # counted transaction, totals still equal to a from-scratch recompute.
         assert np.array_equal(engine.mats, mats_before)
         assert engine.total_cost == total_before
-        assert engine.journal_depth == depth_before
-        assert engine.total_cost == pytest.approx(engine.recompute_total())
+        assert engine.transactions == 0
+        assert engine.total_cost == pytest.approx(_reference_total(engine))
 
-    def test_probe_cells_raises_value_error_not_key_error(self):
-        engine = self._engine()
-        with pytest.raises(ValueError, match="negative superstep row"):
-            engine.probe_cells([(RECV, -2, 1, 1.0)])
-        # Valid probes still work after the rejected one.
-        assert engine.probe_cells([(WORK, 0, 0, 1.0)]) == pytest.approx(1.0)
-
-    def test_undo_unaffected_by_rejected_transaction(self):
+    def test_rejected_transaction_is_not_counted(self):
         engine = self._engine()
         engine.apply_cells([(WORK, 0, 0, 4.0)])
         with pytest.raises(ValueError):
             engine.apply_cells([(WORK, -1, 0, 1.0)])
-        engine.undo()  # undoes the *valid* transaction, nothing else
-        assert engine.total_cost == pytest.approx(engine.recompute_total())
-        with pytest.raises(IndexError):
-            engine.undo()
+        assert engine.transactions == 1
+        assert engine.last_rows.tolist() == [0]
+        assert engine.total_cost == pytest.approx(_reference_total(engine))
+
+
+class TestLocalSearchStateTransactions:
+    """Every applied move is exactly one engine transaction."""
+
+    def test_one_transaction_per_apply_move(self, layered_dag, machine4):
+        state = LocalSearchState(make_scheduler("bspg").schedule(layered_dag, machine4))
+        rng = np.random.default_rng(11)
+        applied = 0
+        for _ in range(60):
+            v = int(rng.integers(layered_dag.n))
+            moves = state.candidate_moves(v)
+            if not moves:
+                continue
+            _, p, s = moves[int(rng.integers(len(moves)))]
+            state.apply_move(v, p, s)
+            applied += 1
+            assert state.engine.transactions == applied
+            assert state.last_touched_rows is state.engine.last_rows
+            assert state.total_cost == pytest.approx(state.recompute_cost())
+        assert applied > 0

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
+from repro.baselines.cilk import CilkScheduler
 from repro.baselines.trivial import LevelRoundRobinScheduler
 from repro.localsearch.annealing import simulated_annealing
 from repro.localsearch.comm_hill_climbing import comm_hill_climb
@@ -435,14 +436,31 @@ class TestConvergenceTelemetry:
         assert costs == sorted(costs, reverse=True)  # HC is monotone
 
     def test_comm_hill_climb_reports_engine_transactions(self, layered_dag, machine4):
-        initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
+        initial = CilkScheduler().schedule(layered_dag, machine4)
         with tracing() as tracer:
-            comm_hill_climb(initial, max_moves=50)
+            result = comm_hill_climb(initial, max_moves=50)
         [span] = [r for r in tracer.records() if r["name"] == "comm_hill_climb"]
-        assert span["attrs"]["engine_transactions"] >= 0
+        assert result.moves_applied > 0
+        assert span["attrs"]["engine_transactions"] == result.moves_applied
         for event in span["events"]:
             assert event["name"] == "pass"
             assert "h_cost" in event
+
+    def test_hill_climb_engine_transactions_equal_moves(self, layered_dag, machine4):
+        initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
+        with tracing() as tracer:
+            result = hill_climb(initial)
+        [span] = [r for r in tracer.records() if r["name"] == "hill_climb"]
+        assert result.moves_applied > 0
+        assert span["attrs"]["engine_transactions"] == result.moves_applied
+
+    def test_annealing_engine_transactions_equal_accepted(self, layered_dag, machine4):
+        initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
+        with tracing() as tracer:
+            result = simulated_annealing(initial, steps=300, seed=3)
+        [span] = [r for r in tracer.records() if r["name"] == "simulated_annealing"]
+        assert result.moves_accepted > 0
+        assert span["attrs"]["engine_transactions"] == result.moves_accepted
 
     def test_annealing_samples_improvements(self, layered_dag, machine4):
         initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
