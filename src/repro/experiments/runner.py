@@ -471,7 +471,6 @@ def _instance_work_items(
     *,
     pipeline_config: Optional[PipelineConfig],
     include_list_baselines: bool,
-    include_trivial: bool,
     multilevel_config: Optional[MultilevelConfig],
     baselines_only: bool,
 ) -> List[WorkItem]:
@@ -485,8 +484,7 @@ def _instance_work_items(
     labels = ["Cilk", "HDagg"]
     if include_list_baselines:
         labels += ["BL-EST", "ETF"]
-    if include_trivial:
-        labels.append("Trivial")
+    labels.append("Trivial")
     spec = ProblemSpec.from_instance(dag, machine)
     items = [
         WorkItem.from_request(
@@ -643,7 +641,6 @@ class ParallelRunner:
         *,
         pipeline_config: Optional[PipelineConfig] = None,
         include_list_baselines: bool = True,
-        include_trivial: bool = True,
         multilevel_config: Optional[MultilevelConfig] = None,
         baselines_only: bool = False,
     ) -> ExperimentResult:
@@ -658,7 +655,6 @@ class ParallelRunner:
                     machine,
                     pipeline_config=pipeline_config,
                     include_list_baselines=include_list_baselines,
-                    include_trivial=include_trivial,
                     multilevel_config=multilevel_config,
                     baselines_only=baselines_only,
                 )
@@ -683,23 +679,18 @@ def run_instance(
     *,
     pipeline_config: Optional[PipelineConfig] = None,
     include_list_baselines: bool = True,
-    include_trivial: bool = True,
     multilevel_config: Optional[MultilevelConfig] = None,
     baselines_only: bool = False,
 ) -> InstanceResult:
     """Run the baselines (and the framework stages) on a single instance."""
-    items = _instance_work_items(
-        0,
-        0,
-        dag,
+    return ParallelRunner(1).run_experiment(
+        [dag],
         machine,
         pipeline_config=pipeline_config,
         include_list_baselines=include_list_baselines,
-        include_trivial=include_trivial,
         multilevel_config=multilevel_config,
         baselines_only=baselines_only,
-    )
-    return _merge_instance(dag, machine, [execute_work_item(item) for item in items])
+    ).instances[0]
 
 
 def run_experiment(

@@ -1,11 +1,12 @@
 """Regeneration of every table and figure of the paper's evaluation.
 
-Each ``make_*`` function runs the relevant experiment configuration over the
-datasets it is given and returns one or more :class:`~repro.experiments.report.Table`
-objects whose rows mirror the corresponding table/figure of the paper.  The
-benchmark harness under ``benchmarks/`` calls these functions with
-(reduced-scale) datasets and prints the resulting tables; EXPERIMENTS.md
-records the measured numbers next to the paper's.
+:data:`TARGETS` holds the one definition of each paper table / figure: its
+datasets, its machine grid, its pipeline preset, whether the multilevel
+scheduler runs, and the renderer that turns the grid's results into
+:class:`~repro.experiments.report.Table` objects whose rows mirror the
+paper's.  :func:`reproduce` runs a target; both ``python -m repro repro``
+and ``benchmarks/bench_paper_tables.py`` go through it (the benchmark
+persists the rendered tables under ``benchmarks/results/``).
 
 Figures are bar charts of mean cost ratios in the paper; here they are
 rendered as tables with one column per bar ("Cilk", "HDagg", "Init", "HCcs",
@@ -15,38 +16,155 @@ paper's figures.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..graphs.dag import ComputationalDAG
 from ..model.machine import BspMachine
 from ..pipeline.config import MultilevelConfig, PipelineConfig
 from .report import Table, format_percent
-from .runner import ExperimentResult, run_experiment, stage_ratio_summary
+from .runner import PIPELINE_ITEM, ExperimentResult, ParallelRunner, WorkItem, run_experiment, stage_ratio_summary
 
 __all__ = [
-    "make_table1_no_numa",
-    "make_figure5_stage_ratios",
-    "make_table2_numa",
-    "make_figure6_numa_with_multilevel",
-    "make_table3_multilevel",
-    "make_tables_4_and_5_initializers",
-    "make_table6_no_numa_detail",
-    "make_table7_algorithm_ratios",
-    "make_table8_vs_etf",
-    "make_table9_latency",
-    "make_table10_numa_detail",
-    "make_table11_huge",
-    "make_figure7_huge_stages",
-    "make_table12_huge_numa",
-    "make_tables_13_and_14_multilevel_detail",
+    "Cell",
+    "Target",
+    "TARGETS",
     "REPRO_TARGETS",
+    "MAX_INSTANCES",
+    "run_grid",
+    "run_initializer_grid",
     "reproduce",
 ]
 
 Datasets = Dict[str, List[ComputationalDAG]]
 
 
+class Cell(NamedTuple):
+    """One machine of a target's grid, run over one dataset."""
+
+    dataset: str
+    P: int
+    g: float
+    l: float
+    delta: Optional[float]  # None: a flat machine without NUMA effects
+
+
+Grid = Dict[Cell, ExperimentResult]
+#: (training instance, P, best initializer) for every run of the initializer grid.
+Wins = List[Tuple[ComputationalDAG, int, str]]
+
+#: The datasets of the main sweeps at ``smoke`` scale; larger scales add
+#: ``medium`` and ``large`` (see :meth:`Target.dataset_names`).
+MAIN = ("tiny", "small")
+
+#: Instances per dataset at each scale.
+MAX_INSTANCES = {"smoke": 2, "reduced": 8, "paper": None}
+
+#: Coarsening ratios of the multilevel scheduler (the paper's C30 / C15).
+ML_RATIOS = (0.3, 0.15)
+
+
+@dataclass(frozen=True)
+class Target:
+    """One paper table / figure: what runs and how it is rendered."""
+
+    description: str
+    render: Callable
+    datasets: Tuple[str, ...]
+    P: Tuple[int, ...]
+    g: Tuple[float, ...]
+    l: Tuple[float, ...] = (5,)
+    delta: Tuple[float, ...] = ()
+    #: ``"fast"`` (all stages, short ILP limits) or ``"heuristics_only"``.
+    preset: str = "fast"
+    multilevel: bool = False
+    list_baselines: bool = False
+    #: Tables 4/5 run the training set, restricted to ``"spmv"`` or ``"other"``.
+    training: Optional[str] = None
+
+    def dataset_names(self, scale: str) -> Tuple[str, ...]:
+        if self.datasets == MAIN and scale != "smoke":
+            return MAIN + ("medium", "large")
+        return self.datasets
+
+    def machines(self) -> Iterator[Tuple[int, float, float, Optional[float]]]:
+        """``(P, g, l, delta)`` for every machine of the grid."""
+        return itertools.product(self.P, self.g, self.l, self.delta or (None,))
+
+
+def _pipeline_config(preset: str, scale: str) -> PipelineConfig:
+    if preset == "fast":
+        return PipelineConfig.fast() if scale == "smoke" else PipelineConfig()
+    config = PipelineConfig.heuristics_only()
+    if scale == "smoke":
+        config.hc_time_limit = 5.0
+        config.hccs_time_limit = 1.0
+    return config
+
+
+def _machine(P: int, g: float, l: float, delta: Optional[float]) -> BspMachine:
+    if delta is None:
+        return BspMachine(P=P, g=g, l=l)
+    return BspMachine.hierarchical(P=P, delta=delta, g=g, l=l)
+
+
+# ----------------------------------------------------------------------
+# Grid runners
+# ----------------------------------------------------------------------
+def run_grid(target: Target, datasets: Datasets, *, scale: str = "smoke", jobs: Optional[int] = None) -> Grid:
+    """Run every dataset on every machine of the target's grid (NUMA when it has deltas)."""
+    config = _pipeline_config(target.preset, scale)
+    multilevel = None
+    if target.multilevel:
+        multilevel = MultilevelConfig(
+            coarsening_ratios=ML_RATIOS,
+            min_coarse_nodes=8,
+            hc_moves_per_refinement=50,
+            base_pipeline=config,
+        )
+    grid: Grid = {}
+    for ds_name, dags in datasets.items():
+        for machine in target.machines():
+            grid[Cell(ds_name, *machine)] = run_experiment(
+                dags,
+                _machine(*machine),
+                pipeline_config=config,
+                include_list_baselines=target.list_baselines,
+                multilevel_config=multilevel,
+                jobs=jobs,
+            )
+    return grid
+
+
+def run_initializer_grid(
+    target: Target, dags: Sequence[ComputationalDAG], *, scale: str = "smoke", jobs: Optional[int] = None
+) -> Wins:
+    """Run the pipeline on every (instance, machine) pair and record which initializer won."""
+    config = _pipeline_config(target.preset, scale)
+    combos = [(dag, machine) for dag in dags for machine in target.machines()]
+    items = [
+        WorkItem(
+            index=k,
+            instance=k,
+            dag=dag,
+            machine=_machine(*machine),
+            scheduler=PIPELINE_ITEM,
+            pipeline_config=config,
+        )
+        for k, (dag, machine) in enumerate(combos)
+    ]
+    results = ParallelRunner(jobs).execute(items)
+    return [
+        (dag, machine[0], min(result.initializer_costs, key=result.initializer_costs.get))
+        for (dag, machine), result in zip(combos, results)
+    ]
+
+
+# ----------------------------------------------------------------------
+# Renderers: pure functions of a grid
+# ----------------------------------------------------------------------
 def _improvement_cell(experiment: ExperimentResult, label: str = "ILP") -> str:
     """The paper's two-number cell: reduction vs Cilk / reduction vs HDagg."""
     vs_cilk = experiment.improvement(label, "Cilk")
@@ -54,598 +172,294 @@ def _improvement_cell(experiment: ExperimentResult, label: str = "ILP") -> str:
     return f"{format_percent(vs_cilk)} / {format_percent(vs_hdagg)}"
 
 
-def _merge(experiments: Iterable[ExperimentResult]) -> ExperimentResult:
+def _axis(cells: Iterable[Cell], name: str) -> list:
+    """The distinct values of one grid axis, in grid order."""
+    return list(dict.fromkeys(getattr(cell, name) for cell in cells))
+
+
+def _pick(grid: Grid, **axes) -> ExperimentResult:
+    """All cells matching ``axes``, merged in grid order."""
     merged = ExperimentResult(machine_description="merged")
-    for exp in experiments:
-        merged.instances.extend(exp.instances)
+    for cell, experiment in grid.items():
+        if all(getattr(cell, name) == value for name, value in axes.items()):
+            merged.instances.extend(experiment.instances)
     return merged
 
 
-# ----------------------------------------------------------------------
-# Table 1 + Figure 5 + Table 6: the no-NUMA comparison
-# ----------------------------------------------------------------------
-def _run_no_numa_grid(
-    datasets: Datasets,
-    P_values: Sequence[int],
-    g_values: Sequence[float],
-    latency: float,
-    config: Optional[PipelineConfig],
-    include_list_baselines: bool = False,
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, float, int], ExperimentResult]:
-    """Run the framework on every (dataset, g, P) combination without NUMA."""
-    results: Dict[Tuple[str, float, int], ExperimentResult] = {}
-    for ds_name, dags in datasets.items():
-        for g in g_values:
-            for P in P_values:
-                machine = BspMachine(P=P, g=g, l=latency)
-                results[(ds_name, g, P)] = run_experiment(
-                    dags,
-                    machine,
-                    pipeline_config=config,
-                    include_list_baselines=include_list_baselines,
-                    jobs=jobs,
-                )
-    return results
+def _ratios(experiment: ExperimentResult, labels: Sequence[str]) -> List[str]:
+    summary = stage_ratio_summary(experiment, "Cilk", labels)
+    return [f"{summary.get(label, float('nan')):.3f}" for label in labels]
 
 
-def make_table1_no_numa(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, float, int], ExperimentResult]] = None,
-) -> Tuple[Table, Table, Dict[Tuple[str, float, int], ExperimentResult]]:
-    """Table 1: cost reduction vs Cilk / HDagg by (g, P) and by (g, dataset)."""
-    if grid is None:
-        grid = _run_no_numa_grid(datasets, P_values, g_values, latency, config, jobs=jobs)
+def _by_p(grid: Grid, title: str, axis: str, cell: Callable = _improvement_cell) -> Table:
+    """Rows per P, one column per value of ``axis`` (``g`` or ``delta``)."""
+    values = _axis(grid, axis)
+    table = Table(title, [f"P \\ {axis}"] + [f"{axis}={v:g}" for v in values])
+    for P in _axis(grid, "P"):
+        table.add_row(f"P={P}", *(cell(_pick(grid, P=P, **{axis: v})) for v in values))
+    return table
 
-    by_p = Table("Table 1 (left): reduction vs Cilk / HDagg by g and P", ["P \\ g"] + [f"g={g:g}" for g in g_values])
-    for P in P_values:
-        row = [f"P={P}"]
-        for g in g_values:
-            merged = _merge(grid[(ds, g, P)] for ds in datasets)
-            row.append(_improvement_cell(merged))
-        by_p.add_row(*row)
 
+def _render_table1(grid: Grid) -> List[Table]:
+    by_p = _by_p(grid, "Table 1 (left): reduction vs Cilk / HDagg by g and P", "g")
+    g_values = _axis(grid, "g")
     by_ds = Table(
         "Table 1 (right): reduction vs Cilk / HDagg by g and dataset",
         ["dataset \\ g"] + [f"g={g:g}" for g in g_values],
     )
-    for ds_name in datasets:
-        row = [ds_name]
-        for g in g_values:
-            merged = _merge(grid[(ds_name, g, P)] for P in P_values)
-            row.append(_improvement_cell(merged))
-        by_ds.add_row(*row)
-    return by_p, by_ds, grid
+    for ds in _axis(grid, "dataset"):
+        by_ds.add_row(ds, *(_improvement_cell(_pick(grid, dataset=ds, g=g)) for g in g_values))
+    return [by_p, by_ds]
 
 
-def make_figure5_stage_ratios(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, float, int], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, float, int], ExperimentResult]]:
-    """Figure 5: mean cost ratios (normalized to Cilk) per g, without NUMA."""
-    if grid is None:
-        grid = _run_no_numa_grid(datasets, P_values, g_values, latency, config, jobs=jobs)
+def _render_fig5(grid: Grid) -> List[Table]:
     labels = ["Cilk", "HDagg", "Init", "HCcs", "ILP"]
     table = Table("Figure 5: mean cost ratio normalized to Cilk, per g", ["g"] + labels)
-    for g in g_values:
-        merged = _merge(grid[(ds, g, P)] for ds in datasets for P in P_values)
-        summary = stage_ratio_summary(merged, "Cilk", labels)
-        table.add_row(f"g={g:g}", *[f"{summary[l]:.3f}" for l in labels])
-    return table, grid
+    for g in _axis(grid, "g"):
+        table.add_row(f"g={g:g}", *_ratios(_pick(grid, g=g), labels))
+    return [table]
 
 
-def make_table6_no_numa_detail(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, float, int], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, float, int], ExperimentResult]]:
-    """Table 6: improvement for every (g, P, dataset) combination (no NUMA)."""
-    if grid is None:
-        grid = _run_no_numa_grid(datasets, P_values, g_values, latency, config, jobs=jobs)
-    headers = ["dataset"] + [f"g={g:g},P={P}" for g in g_values for P in P_values]
-    table = Table("Table 6: reduction vs Cilk / HDagg per (g, P, dataset)", headers)
-    for ds_name in datasets:
-        row = [ds_name]
-        for g in g_values:
-            for P in P_values:
-                row.append(_improvement_cell(grid[(ds_name, g, P)]))
-        table.add_row(*row)
-    return table, grid
-
-
-# ----------------------------------------------------------------------
-# NUMA experiments: Table 2, Figure 6, Table 3, Table 10, Tables 13/14
-# ----------------------------------------------------------------------
-def _run_numa_grid(
-    datasets: Datasets,
-    P_values: Sequence[int],
-    delta_values: Sequence[float],
-    g: float,
-    latency: float,
-    config: Optional[PipelineConfig],
-    multilevel_config: Optional[MultilevelConfig],
-    jobs: Optional[int] = None,
-) -> Dict[Tuple[str, int, float], ExperimentResult]:
-    results: Dict[Tuple[str, int, float], ExperimentResult] = {}
-    for ds_name, dags in datasets.items():
-        for P in P_values:
-            for delta in delta_values:
-                machine = BspMachine.hierarchical(P=P, delta=delta, g=g, l=latency)
-                results[(ds_name, P, delta)] = run_experiment(
-                    dags,
-                    machine,
-                    pipeline_config=config,
-                    include_list_baselines=False,
-                    multilevel_config=multilevel_config,
-                    jobs=jobs,
-                )
-    return results
-
-
-def make_table2_numa(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
-    """Table 2: cost reduction of the base scheduler with NUMA, by (P, delta)."""
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, None, jobs=jobs)
+def _render_table6(grid: Grid) -> List[Table]:
+    pairs = [(g, P) for g in _axis(grid, "g") for P in _axis(grid, "P")]
     table = Table(
-        "Table 2: reduction vs Cilk / HDagg with NUMA, by P and delta",
-        ["P \\ delta"] + [f"delta={d:g}" for d in delta_values],
+        "Table 6: reduction vs Cilk / HDagg per (g, P, dataset)",
+        ["dataset"] + [f"g={g:g},P={P}" for g, P in pairs],
     )
-    for P in P_values:
-        row = [f"P={P}"]
-        for delta in delta_values:
-            merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-            row.append(_improvement_cell(merged))
-        table.add_row(*row)
-    return table, grid
+    for ds in _axis(grid, "dataset"):
+        table.add_row(ds, *(_improvement_cell(_pick(grid, dataset=ds, g=g, P=P)) for g, P in pairs))
+    return [table]
 
 
-def make_figure6_numa_with_multilevel(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
-    """Figure 6: mean cost ratios (vs Cilk) incl. the multilevel scheduler."""
-    if multilevel_config is None:
-        multilevel_config = MultilevelConfig(base_pipeline=config or PipelineConfig.fast())
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, multilevel_config, jobs=jobs)
+def _render_table2(grid: Grid) -> List[Table]:
+    return [_by_p(grid, "Table 2: reduction vs Cilk / HDagg with NUMA, by P and delta", "delta")]
+
+
+def _render_fig6(grid: Grid) -> List[Table]:
     labels = ["Cilk", "HDagg", "Init", "HCcs", "ILP", "ML"]
     table = Table(
         "Figure 6: mean cost ratio normalized to Cilk, per (P, delta), with NUMA",
         ["P, delta"] + labels,
     )
-    for P in P_values:
-        for delta in delta_values:
-            merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-            summary = stage_ratio_summary(merged, "Cilk", labels)
-            table.add_row(
-                f"P={P}, d={delta:g}",
-                *[f"{summary.get(l, float('nan')):.3f}" for l in labels],
-            )
-    return table, grid
+    for P in _axis(grid, "P"):
+        for delta in _axis(grid, "delta"):
+            table.add_row(f"P={P}, d={delta:g}", *_ratios(_pick(grid, P=P, delta=delta), labels))
+    return [table]
 
 
-def make_table3_multilevel(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
-    """Table 3: cost reduction of the multilevel scheduler by (P, delta)."""
-    if multilevel_config is None:
-        multilevel_config = MultilevelConfig(base_pipeline=config or PipelineConfig.fast())
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, multilevel_config, jobs=jobs)
-    table = Table(
-        "Table 3: reduction of the multilevel scheduler vs Cilk / HDagg",
-        ["P \\ delta"] + [f"delta={d:g}" for d in delta_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for delta in delta_values:
-            merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-            row.append(_improvement_cell(merged, label="ML"))
-        table.add_row(*row)
-    return table, grid
-
-
-def make_table10_numa_detail(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Dict[Tuple[str, int, float], ExperimentResult]]:
-    """Table 10: NUMA improvement for every (P, delta, dataset) combination."""
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, None, jobs=jobs)
-    headers = ["dataset"] + [f"P={P},d={d:g}" for P in P_values for d in delta_values]
-    table = Table("Table 10: reduction vs Cilk / HDagg per (P, delta, dataset)", headers)
-    for ds_name in datasets:
-        row = [ds_name]
-        for P in P_values:
-            for delta in delta_values:
-                row.append(_improvement_cell(grid[(ds_name, P, delta)]))
-        table.add_row(*row)
-    return table, grid
-
-
-def make_tables_13_and_14_multilevel_detail(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    multilevel_config: Optional[MultilevelConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[str, int, float], ExperimentResult]] = None,
-) -> Tuple[Table, Table, Dict[Tuple[str, int, float], ExperimentResult]]:
-    """Tables 13 and 14: multilevel variants (C15 / C30 / C_opt) vs baselines
-    and vs the base scheduler."""
-    if multilevel_config is None:
-        multilevel_config = MultilevelConfig(base_pipeline=config or PipelineConfig.fast())
-    if grid is None:
-        grid = _run_numa_grid(datasets, P_values, delta_values, g, latency, config, multilevel_config, jobs=jobs)
-    ratios = sorted(multilevel_config.coarsening_ratios)
-    variant_labels = [f"ML@{r:g}" for r in ratios] + ["ML"]
-    variant_names = [f"C{int(round(r * 100))}" for r in ratios] + ["C_opt"]
-
-    t13 = Table(
-        "Table 13: multilevel reduction vs Cilk / HDagg per coarsening variant",
-        ["variant"] + [f"P={P},d={d:g}" for P in P_values for d in delta_values],
-    )
-    t14 = Table(
-        "Table 14: cost ratio of the multilevel scheduler to the base scheduler",
-        ["variant"] + [f"P={P},d={d:g}" for P in P_values for d in delta_values],
-    )
-    for label, name in zip(variant_labels, variant_names):
-        row13 = [name]
-        row14 = [name]
-        for P in P_values:
-            for delta in delta_values:
-                merged = _merge(grid[(ds, P, delta)] for ds in datasets)
-                row13.append(_improvement_cell(merged, label=label))
-                row14.append(f"{merged.mean_ratio(label, 'ILP'):.3f}")
-        t13.add_row(*row13)
-        t14.add_row(*row14)
-    return t13, t14, grid
-
-
-# ----------------------------------------------------------------------
-# Tables 4 / 5: initializer comparison on the training set
-# ----------------------------------------------------------------------
-def make_tables_4_and_5_initializers(
-    training_set: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Tuple[Table, Table]:
-    """Tables 4 and 5: how often each initialization heuristic wins.
-
-    Table 4 covers the shallow spmv instances (split by P); Table 5 covers
-    the remaining kernels (split by P and by DAG size).
-    """
-    from .runner import PIPELINE_ITEM, ParallelRunner, WorkItem
-
-    if config is None:
-        config = PipelineConfig.fast()
-    wins_spmv: Dict[int, Counter] = {P: Counter() for P in P_values}
-    wins_other: Dict[Tuple[int, str], Counter] = {}
-    size_buckets = ["small n", "medium n", "large n"]
-
-    def bucket_of(n: int) -> str:
-        sizes = sorted(d.n for d in training_set)
-        lo = sizes[len(sizes) // 3]
-        hi = sizes[(2 * len(sizes)) // 3]
-        if n <= lo:
-            return size_buckets[0]
-        if n <= hi:
-            return size_buckets[1]
-        return size_buckets[2]
-
-    combos = [
-        (dag, P, g)
-        for dag in training_set
-        for P in P_values
-        for g in g_values
-    ]
-    items = [
-        WorkItem(
-            index=k,
-            instance=k,
-            dag=dag,
-            machine=BspMachine(P=P, g=g, l=latency),
-            scheduler=PIPELINE_ITEM,
-            pipeline_config=config,
+def _render_table3(grid: Grid) -> List[Table]:
+    return [
+        _by_p(
+            grid,
+            "Table 3: reduction of the multilevel scheduler vs Cilk / HDagg",
+            "delta",
+            lambda experiment: _improvement_cell(experiment, label="ML"),
         )
-        for k, (dag, P, g) in enumerate(combos)
     ]
-    results = ParallelRunner(jobs).execute(items)
-    for (dag, P, g), result in zip(combos, results):
-        best = min(result.initializer_costs, key=result.initializer_costs.get)
-        if "spmv" in dag.name:
-            wins_spmv[P][best] += 1
-        else:
-            wins_other.setdefault((P, bucket_of(dag.n)), Counter())[best] += 1
 
-    def counter_cell(counter: Counter) -> str:
-        if not counter:
-            return "-"
-        return ", ".join(f"{name}: {count}" for name, count in counter.most_common())
 
-    t4 = Table("Table 4: best initializer counts on spmv training instances", ["P", "wins"])
-    for P in P_values:
-        t4.add_row(f"P={P}", counter_cell(wins_spmv[P]))
+def _render_table10(grid: Grid) -> List[Table]:
+    pairs = [(P, d) for P in _axis(grid, "P") for d in _axis(grid, "delta")]
+    table = Table(
+        "Table 10: reduction vs Cilk / HDagg per (P, delta, dataset)",
+        ["dataset"] + [f"P={P},d={d:g}" for P, d in pairs],
+    )
+    for ds in _axis(grid, "dataset"):
+        table.add_row(ds, *(_improvement_cell(_pick(grid, dataset=ds, P=P, delta=d)) for P, d in pairs))
+    return [table]
 
-    t5 = Table(
+
+def _multilevel_variants(grid: Grid, title: str, cell: Callable) -> Table:
+    """Tables 13/14: one row per coarsening variant (C15 / C30 / C_opt), one column per (P, delta)."""
+    ratios = sorted(ML_RATIOS)
+    variants = [(f"C{int(round(r * 100))}", f"ML@{r:g}") for r in ratios] + [("C_opt", "ML")]
+    pairs = [(P, d) for P in _axis(grid, "P") for d in _axis(grid, "delta")]
+    table = Table(title, ["variant"] + [f"P={P},d={d:g}" for P, d in pairs])
+    for name, label in variants:
+        table.add_row(name, *(cell(_pick(grid, P=P, delta=d), label) for P, d in pairs))
+    return table
+
+
+def _render_table13(grid: Grid) -> List[Table]:
+    return [
+        _multilevel_variants(
+            grid,
+            "Table 13: multilevel reduction vs Cilk / HDagg per coarsening variant",
+            lambda experiment, label: _improvement_cell(experiment, label=label),
+        )
+    ]
+
+
+def _render_table14(grid: Grid) -> List[Table]:
+    return [
+        _multilevel_variants(
+            grid,
+            "Table 14: cost ratio of the multilevel scheduler to the base scheduler",
+            lambda experiment, label: f"{experiment.mean_ratio(label, 'ILP'):.3f}",
+        )
+    ]
+
+
+def _counter_cell(counter: Counter) -> str:
+    if not counter:
+        return "-"
+    return ", ".join(f"{name}: {count}" for name, count in counter.most_common())
+
+
+def _render_table4(wins: Wins) -> List[Table]:
+    counts: Dict[int, Counter] = {}
+    for _dag, P, best in wins:
+        counts.setdefault(P, Counter())[best] += 1
+    table = Table("Table 4: best initializer counts on spmv training instances", ["P", "wins"])
+    for P, counter in counts.items():
+        table.add_row(f"P={P}", _counter_cell(counter))
+    return [table]
+
+
+def _render_table5(wins: Wins) -> List[Table]:
+    """Split by P and by DAG size (thirds of the instances' node counts)."""
+    buckets = ["small n", "medium n", "large n"]
+    sizes = sorted({dag.name: dag.n for dag, _P, _best in wins}.values())
+    lo = sizes[len(sizes) // 3]
+    hi = sizes[(2 * len(sizes)) // 3]
+    P_values = list(dict.fromkeys(P for _dag, P, _best in wins))
+    counts: Dict[Tuple[int, str], Counter] = {}
+    for dag, P, best in wins:
+        bucket = buckets[0] if dag.n <= lo else buckets[1] if dag.n <= hi else buckets[2]
+        counts.setdefault((P, bucket), Counter())[best] += 1
+    table = Table(
         "Table 5: best initializer counts on exp/cg/kNN training instances",
         ["size bucket"] + [f"P={P}" for P in P_values],
     )
-    for bucket in size_buckets:
-        row = [bucket]
-        for P in P_values:
-            row.append(counter_cell(wins_other.get((P, bucket), Counter())))
-        t5.add_row(*row)
-    return t4, t5
+    for bucket in buckets:
+        table.add_row(bucket, *(_counter_cell(counts.get((P, bucket), Counter())) for P in P_values))
+    return [table]
 
 
-# ----------------------------------------------------------------------
-# Table 7 / Table 8: algorithm-by-algorithm ratios and the ETF comparison
-# ----------------------------------------------------------------------
-def make_table7_algorithm_ratios(
-    datasets: Datasets,
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g: float = 5,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
-    """Table 7: per-algorithm mean cost ratios (normalized to Cilk) for g=5."""
+def _render_table7(grid: Grid) -> List[Table]:
     labels = ["BL-EST", "ETF", "Cilk", "HDagg", "Init", "HCcs", "ILPpart", "ILP"]
     table = Table("Table 7: cost ratios normalized to Cilk (g=5)", ["dataset"] + labels)
-    for ds_name, dags in datasets.items():
-        merged = _merge(
-            run_experiment(
-                dags,
-                BspMachine(P=P, g=g, l=latency),
-                pipeline_config=config,
-                include_list_baselines=True,
-                jobs=jobs,
-            )
-            for P in P_values
-        )
-        summary = stage_ratio_summary(merged, "Cilk", labels)
-        table.add_row(ds_name, *[f"{summary[l]:.3f}" for l in labels])
+    for ds in _axis(grid, "dataset"):
+        table.add_row(ds, *_ratios(_pick(grid, dataset=ds), labels))
     table.add_note("the paper's 'ILPcs' column corresponds to the final 'ILP' column here")
-    return table
+    return [table]
 
 
-def make_table8_vs_etf(
-    tiny_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
-    """Table 8: cost reduction of the framework vs ETF on the tiny dataset."""
-    table = Table("Table 8: reduction vs ETF on the tiny dataset", ["P \\ g"] + [f"g={g:g}" for g in g_values])
-    for P in P_values:
-        row = [f"P={P}"]
-        for g in g_values:
-            machine = BspMachine(P=P, g=g, l=latency)
-            experiment = run_experiment(
-                tiny_dags, machine, pipeline_config=config, include_list_baselines=True,
-                jobs=jobs,
-            )
-            row.append(format_percent(experiment.improvement("ILP", "ETF")))
-        table.add_row(*row)
-    return table
+def _render_table8(grid: Grid) -> List[Table]:
+    return [
+        _by_p(
+            grid,
+            "Table 8: reduction vs ETF on the tiny dataset",
+            "g",
+            lambda experiment: format_percent(experiment.improvement("ILP", "ETF")),
+        )
+    ]
 
 
-# ----------------------------------------------------------------------
-# Table 9: the role of latency
-# ----------------------------------------------------------------------
-def make_table9_latency(
-    dags: Sequence[ComputationalDAG],
-    *,
-    latencies: Sequence[float] = (2, 5, 10, 20),
-    P: int = 8,
-    g: float = 1,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
-    """Table 9: improvement for different latency values (medium dataset)."""
+def _render_table9(grid: Grid) -> List[Table]:
     table = Table(
         "Table 9: reduction vs Cilk / HDagg for different latency values (g=1, P=8)",
-        ["latency"] + ["reduction"],
+        ["latency", "reduction"],
     )
-    for latency in latencies:
-        machine = BspMachine(P=P, g=g, l=latency)
-        experiment = run_experiment(
-            dags, machine, pipeline_config=config, include_list_baselines=False, jobs=jobs
-        )
-        table.add_row(f"l={latency:g}", _improvement_cell(experiment))
-    return table
+    for latency in _axis(grid, "l"):
+        table.add_row(f"l={latency:g}", _improvement_cell(_pick(grid, l=latency)))
+    return [table]
 
 
-# ----------------------------------------------------------------------
-# The huge dataset: Table 11, Figure 7, Table 12
-# ----------------------------------------------------------------------
-def make_table11_huge(
-    huge_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Tuple[Table, Dict[Tuple[float, int], ExperimentResult]]:
-    """Table 11: Init+HC+HCcs on the huge dataset, without NUMA."""
-    if config is None:
-        config = PipelineConfig.heuristics_only()
-    grid: Dict[Tuple[float, int], ExperimentResult] = {}
-    table = Table(
-        "Table 11: reduction vs Cilk / HDagg on the huge dataset (heuristics only)",
-        ["P \\ g"] + [f"g={g:g}" for g in g_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for g in g_values:
-            machine = BspMachine(P=P, g=g, l=latency)
-            experiment = run_experiment(
-                huge_dags, machine, pipeline_config=config, include_list_baselines=False,
-                jobs=jobs,
-            )
-            grid[(g, P)] = experiment
-            row.append(_improvement_cell(experiment))
-        table.add_row(*row)
-    return table, grid
+def _render_table11(grid: Grid) -> List[Table]:
+    return [_by_p(grid, "Table 11: reduction vs Cilk / HDagg on the huge dataset (heuristics only)", "g")]
 
 
-def make_figure7_huge_stages(
-    huge_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (4, 8, 16),
-    g_values: Sequence[float] = (1, 3, 5),
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-    grid: Optional[Dict[Tuple[float, int], ExperimentResult]] = None,
-) -> Table:
-    """Figure 7: stage cost ratios on the huge dataset, split by P."""
-    if config is None:
-        config = PipelineConfig.heuristics_only()
+def _render_fig7(grid: Grid) -> List[Table]:
     labels = ["Cilk", "HDagg", "Init", "HCcs"]
     table = Table("Figure 7: mean cost ratio normalized to Cilk on the huge dataset", ["P"] + labels)
-    for P in P_values:
-        experiments = []
-        for g in g_values:
-            if grid is not None and (g, P) in grid:
-                experiments.append(grid[(g, P)])
-            else:
-                machine = BspMachine(P=P, g=g, l=latency)
-                experiments.append(
-                    run_experiment(
-                        huge_dags, machine, pipeline_config=config,
-                        include_list_baselines=False, jobs=jobs,
-                    )
-                )
-        merged = _merge(experiments)
-        summary = stage_ratio_summary(merged, "Cilk", labels)
-        table.add_row(f"P={P}", *[f"{summary[l]:.3f}" for l in labels])
-    return table
+    for P in _axis(grid, "P"):
+        table.add_row(f"P={P}", *_ratios(_pick(grid, P=P), labels))
+    return [table]
 
 
-def make_table12_huge_numa(
-    huge_dags: Sequence[ComputationalDAG],
-    *,
-    P_values: Sequence[int] = (8, 16),
-    delta_values: Sequence[float] = (2, 3, 4),
-    g: float = 1,
-    latency: float = 5,
-    config: Optional[PipelineConfig] = None,
-    jobs: Optional[int] = None,
-) -> Table:
-    """Table 12: Init+HC+HCcs on the huge dataset with NUMA effects."""
-    if config is None:
-        config = PipelineConfig.heuristics_only()
-    table = Table(
-        "Table 12: reduction vs Cilk / HDagg on the huge dataset with NUMA",
-        ["P \\ delta"] + [f"delta={d:g}" for d in delta_values],
-    )
-    for P in P_values:
-        row = [f"P={P}"]
-        for delta in delta_values:
-            machine = BspMachine.hierarchical(P=P, delta=delta, g=g, l=latency)
-            experiment = run_experiment(
-                huge_dags, machine, pipeline_config=config, include_list_baselines=False,
-                jobs=jobs,
-            )
-            row.append(_improvement_cell(experiment))
-        table.add_row(*row)
-    return table
+def _render_table12(grid: Grid) -> List[Table]:
+    return [_by_p(grid, "Table 12: reduction vs Cilk / HDagg on the huge dataset with NUMA", "delta")]
 
 
 # ----------------------------------------------------------------------
-# Named reproduction targets (the ``python -m repro repro`` subcommand)
+# The targets (the ``python -m repro repro`` subcommand)
 # ----------------------------------------------------------------------
-#: Target name -> what it regenerates.  Every entry is runnable on a laptop
-#: at ``smoke`` scale; ``reduced`` / ``paper`` raise instance counts and
-#: grid sizes toward the paper's setup.
-REPRO_TARGETS: Dict[str, str] = {
-    "table1": "reduction vs Cilk / HDagg without NUMA, by (g, P) and (g, dataset)",
-    "table2": "reduction vs Cilk / HDagg with NUMA, by (P, delta)",
-    "table3": "reduction of the multilevel scheduler, by (P, delta)",
-    "table4": "best-initializer counts on the spmv training instances",
-    "table5": "best-initializer counts on the exp/cg/kNN training instances",
-    "table6": "no-NUMA improvement per (g, P, dataset)",
-    "table7": "per-algorithm cost ratios normalized to Cilk (g=5)",
-    "table8": "reduction vs ETF on the tiny dataset",
-    "table9": "improvement for different latency values",
-    "table10": "NUMA improvement per (P, delta, dataset)",
-    "table11": "heuristics-only reduction on the huge dataset",
-    "table12": "heuristics-only reduction on the huge dataset with NUMA",
-    "table13": "multilevel reduction per coarsening variant",
-    "table14": "multilevel-to-base cost ratio per coarsening variant",
-    "fig5": "stage cost ratios per g, without NUMA",
-    "fig6": "stage cost ratios per (P, delta) incl. multilevel, with NUMA",
-    "fig7": "stage cost ratios on the huge dataset",
+#: Every entry is runnable on a laptop at ``smoke`` scale; ``reduced`` /
+#: ``paper`` raise instance counts and dataset sizes toward the paper's setup.
+TARGETS: Dict[str, Target] = {
+    "table1": Target(
+        "reduction vs Cilk / HDagg without NUMA, by (g, P) and (g, dataset)",
+        _render_table1, MAIN, P=(2, 4), g=(1, 5),
+    ),
+    "table2": Target(
+        "reduction vs Cilk / HDagg with NUMA, by (P, delta)",
+        _render_table2, MAIN, P=(4, 8), g=(1,), delta=(2, 4),
+    ),
+    "table3": Target(
+        "reduction of the multilevel scheduler, by (P, delta)",
+        _render_table3, ("small",), P=(8,), g=(1,), delta=(2, 4), multilevel=True,
+    ),
+    "table4": Target(
+        "best-initializer counts on the spmv training instances",
+        _render_table4, (), P=(2, 4), g=(1, 5), training="spmv",
+    ),
+    "table5": Target(
+        "best-initializer counts on the exp/cg/kNN training instances",
+        _render_table5, (), P=(2, 4), g=(1, 3), training="other",
+    ),
+    "table6": Target(
+        "no-NUMA improvement per (g, P, dataset)",
+        _render_table6, MAIN, P=(2, 4), g=(1, 5),
+    ),
+    "table7": Target(
+        "per-algorithm cost ratios normalized to Cilk (g=5)",
+        _render_table7, MAIN, P=(2, 4), g=(5,), list_baselines=True,
+    ),
+    "table8": Target(
+        "reduction vs ETF on the tiny dataset",
+        _render_table8, ("tiny",), P=(2, 4), g=(1, 5), list_baselines=True,
+    ),
+    "table9": Target(
+        "improvement for different latency values",
+        _render_table9, ("small",), P=(4,), g=(1,), l=(2, 5, 10, 20),
+    ),
+    "table10": Target(
+        "NUMA improvement per (P, delta, dataset)",
+        _render_table10, MAIN, P=(8,), g=(1,), delta=(2, 3, 4),
+    ),
+    "table11": Target(
+        "heuristics-only reduction on the huge dataset",
+        _render_table11, ("huge",), P=(4, 8), g=(1, 5), preset="heuristics_only",
+    ),
+    "table12": Target(
+        "heuristics-only reduction on the huge dataset with NUMA",
+        _render_table12, ("huge",), P=(8,), g=(1,), delta=(2, 4), preset="heuristics_only",
+    ),
+    "table13": Target(
+        "multilevel reduction per coarsening variant",
+        _render_table13, ("small",), P=(8,), g=(1,), delta=(2, 4), multilevel=True,
+    ),
+    "table14": Target(
+        "multilevel-to-base cost ratio per coarsening variant",
+        _render_table14, ("small",), P=(8,), g=(1,), delta=(2, 4), multilevel=True,
+    ),
+    "fig5": Target(
+        "stage cost ratios per g, without NUMA",
+        _render_fig5, MAIN, P=(2, 4), g=(1, 3, 5),
+    ),
+    "fig6": Target(
+        "stage cost ratios per (P, delta) incl. multilevel, with NUMA",
+        _render_fig6, MAIN, P=(8,), g=(1,), delta=(2, 4), multilevel=True,
+    ),
+    "fig7": Target(
+        "stage cost ratios on the huge dataset",
+        _render_fig7, ("huge",), P=(4, 8), g=(1, 5), preset="heuristics_only",
+    ),
 }
 
-#: Instances per dataset used by :func:`reproduce` at each scale.
-_REPRO_MAX_INSTANCES = {"smoke": 2, "reduced": 8, "paper": None}
+#: Target name -> what it regenerates.
+REPRO_TARGETS: Dict[str, str] = {name: target.description for name, target in TARGETS.items()}
 
 
 def reproduce(
@@ -657,125 +471,25 @@ def reproduce(
 ) -> List[Table]:
     """Regenerate one paper table / figure by name (see :data:`REPRO_TARGETS`).
 
-    The parameter grids are the reduced laptop-scale grids also used by the
-    benchmark harness; the *shape* of the results reproduces the paper,
-    absolute numbers do not (see EXPERIMENTS.md).
+    At ``smoke`` scale the *shape* of the results reproduces the paper,
+    absolute numbers do not.
     """
     from .datasets import build_dataset, build_training_set
 
-    target = target.strip().lower().replace("figure", "fig")
-    if target not in REPRO_TARGETS:
-        raise ValueError(
-            f"unknown repro target {target!r}; available: {', '.join(REPRO_TARGETS)}"
-        )
-    max_instances = _REPRO_MAX_INSTANCES.get(scale, 2)
-    config = PipelineConfig.fast() if scale == "smoke" else PipelineConfig()
-
-    def datasets(*names: str) -> Datasets:
-        return {
-            name: build_dataset(name, scale=scale, max_instances=max_instances, seed=seed)
-            for name in names
-        }
-
-    main = ("tiny", "small") if scale == "smoke" else ("tiny", "small", "medium", "large")
-    no_numa_grid = dict(P_values=(2, 4), g_values=(1, 5), latency=5, config=config, jobs=jobs)
-    numa_grid = dict(P_values=(4, 8), delta_values=(2, 4), g=1, latency=5, config=config, jobs=jobs)
-    ml_config = MultilevelConfig(
-        coarsening_ratios=(0.3, 0.15),
-        min_coarse_nodes=8,
-        hc_moves_per_refinement=50,
-        base_pipeline=config,
-    )
-    heuristics = PipelineConfig.heuristics_only()
-    if scale == "smoke":
-        heuristics.hc_time_limit = 5.0
-        heuristics.hccs_time_limit = 1.0
-
-    if target == "table1":
-        by_p, by_ds, _ = make_table1_no_numa(datasets(*main), **no_numa_grid)
-        return [by_p, by_ds]
-    if target == "fig5":
-        table, _ = make_figure5_stage_ratios(datasets(*main), **no_numa_grid)
-        return [table]
-    if target == "table6":
-        table, _ = make_table6_no_numa_detail(datasets(*main), **no_numa_grid)
-        return [table]
-    if target == "table2":
-        table, _ = make_table2_numa(datasets(*main), **numa_grid)
-        return [table]
-    if target == "fig6":
-        table, _ = make_figure6_numa_with_multilevel(
-            datasets(*main), multilevel_config=ml_config, **numa_grid
-        )
-        return [table]
-    if target == "table3":
-        table, _ = make_table3_multilevel(
-            datasets(*main), multilevel_config=ml_config, **numa_grid
-        )
-        return [table]
-    if target == "table10":
-        table, _ = make_table10_numa_detail(datasets(*main), **numa_grid)
-        return [table]
-    if target in ("table13", "table14"):
-        t13, t14, _ = make_tables_13_and_14_multilevel_detail(
-            datasets(*main), multilevel_config=ml_config, **numa_grid
-        )
-        return [t13] if target == "table13" else [t14]
-    if target in ("table4", "table5"):
-        t4, t5 = make_tables_4_and_5_initializers(
-            build_training_set(scale=scale, seed=seed),
-            P_values=(2, 4),
-            g_values=(1, 5),
-            latency=5,
-            config=config,
-            jobs=jobs,
-        )
-        return [t4] if target == "table4" else [t5]
-    if target == "table7":
-        return [
-            make_table7_algorithm_ratios(
-                datasets(*main), P_values=(2, 4), g=5, latency=5, config=config, jobs=jobs
-            )
+    name = target.strip().lower().replace("figure", "fig")
+    if name not in TARGETS:
+        raise ValueError(f"unknown repro target {name!r}; available: {', '.join(TARGETS)}")
+    spec = TARGETS[name]
+    if spec.training is not None:
+        dags = [
+            dag
+            for dag in build_training_set(scale=scale, seed=seed)
+            if ("spmv" in dag.name) == (spec.training == "spmv")
         ]
-    if target == "table8":
-        return [
-            make_table8_vs_etf(
-                datasets("tiny")["tiny"],
-                P_values=(2, 4),
-                g_values=(1, 5),
-                latency=5,
-                config=config,
-                jobs=jobs,
-            )
-        ]
-    if target == "table9":
-        return [
-            make_table9_latency(
-                datasets("medium")["medium"],
-                latencies=(2, 5, 10, 20),
-                P=4,
-                g=1,
-                config=config,
-                jobs=jobs,
-            )
-        ]
-    huge = datasets("huge")["huge"]
-    if target == "table11":
-        table, _ = make_table11_huge(
-            huge, P_values=(2, 4), g_values=(1, 5), latency=5, config=heuristics, jobs=jobs
-        )
-        return [table]
-    if target == "fig7":
-        return [
-            make_figure7_huge_stages(
-                huge, P_values=(2, 4), g_values=(1, 5), latency=5, config=heuristics, jobs=jobs
-            )
-        ]
-    if target == "table12":
-        return [
-            make_table12_huge_numa(
-                huge, P_values=(4, 8), delta_values=(2, 4), g=1, latency=5,
-                config=heuristics, jobs=jobs,
-            )
-        ]
-    raise AssertionError(f"unhandled target {target!r}")  # pragma: no cover
+        return spec.render(run_initializer_grid(spec, dags, scale=scale, jobs=jobs))
+    max_instances = MAX_INSTANCES.get(scale, 2)
+    datasets = {
+        ds: build_dataset(ds, scale=scale, max_instances=max_instances, seed=seed)
+        for ds in spec.dataset_names(scale)
+    }
+    return spec.render(run_grid(spec, datasets, scale=scale, jobs=jobs))

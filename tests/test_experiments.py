@@ -1,6 +1,8 @@
 """Tests for the experiment harness: reporting, datasets, runner, tables."""
 
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import tables as paper_tables
@@ -122,38 +124,53 @@ class TestRunner:
 
 
 class TestPaperTables:
-    """Smoke tests of the table generators on minimal inputs."""
+    """Smoke tests of the grid runners and renderers on minimal inputs."""
 
     @pytest.fixture(scope="class")
     def tiny_datasets(self):
         return {"tiny": [spmv_dag(5, q=0.3, seed=3)]}
 
-    @pytest.fixture(scope="class")
-    def fast_config(self):
-        return PipelineConfig.fast()
-
-    def test_table1_and_figure5_share_grid(self, tiny_datasets, fast_config):
-        t_left, t_right, grid = paper_tables.make_table1_no_numa(
-            tiny_datasets, P_values=(2,), g_values=(1,), latency=3, config=fast_config
-        )
+    def test_table1_and_figure5_share_grid(self, tiny_datasets):
+        target = replace(paper_tables.TARGETS["table1"], P=(2,), g=(1,), l=(3,))
+        grid = paper_tables.run_grid(target, tiny_datasets)
+        t_left, t_right = target.render(grid)
         assert len(t_left.rows) == 1 and len(t_right.rows) == 1
-        fig5, _ = paper_tables.make_figure5_stage_ratios(
-            tiny_datasets, P_values=(2,), g_values=(1,), latency=3, config=fast_config, grid=grid
-        )
+        [fig5] = paper_tables.TARGETS["fig5"].render(grid)
         assert fig5.rows[0][1] == "1.000"  # Cilk normalized to itself
 
-    def test_table9_latency(self, tiny_datasets, fast_config):
-        table = paper_tables.make_table9_latency(
-            tiny_datasets["tiny"], latencies=(2, 5), P=2, g=1, config=fast_config
-        )
+    def test_table9_latency(self, tiny_datasets):
+        target = replace(paper_tables.TARGETS["table9"], P=(2,), g=(1,), l=(2, 5))
+        [table] = target.render(paper_tables.run_grid(target, tiny_datasets))
         assert len(table.rows) == 2
 
     def test_table11_and_figure7(self, tiny_datasets):
-        config = PipelineConfig.heuristics_only()
-        table, grid = paper_tables.make_table11_huge(
-            tiny_datasets["tiny"], P_values=(2,), g_values=(1,), latency=3, config=config
-        )
-        fig = paper_tables.make_figure7_huge_stages(
-            tiny_datasets["tiny"], P_values=(2,), g_values=(1,), latency=3, config=config, grid=grid
-        )
+        target = replace(paper_tables.TARGETS["table11"], P=(2,), g=(1,), l=(3,))
+        grid = paper_tables.run_grid(target, tiny_datasets)
+        [table] = target.render(grid)
+        [fig] = paper_tables.TARGETS["fig7"].render(grid)
         assert len(table.rows) == 1 and len(fig.rows) == 1
+
+
+class TestReproduce:
+    """``reproduce`` on the targets that run in seconds at smoke scale.
+
+    Row and column labels must match the grid in the target's record.
+    """
+
+    def test_table11(self):
+        target = paper_tables.TARGETS["table11"]
+        [table] = paper_tables.reproduce("table11")
+        assert table.headers == ["P \\ g"] + [f"g={g:g}" for g in target.g]
+        assert [row[0] for row in table.rows] == [f"P={P}" for P in target.P]
+
+    def test_table12(self):
+        target = paper_tables.TARGETS["table12"]
+        [table] = paper_tables.reproduce("Table12")
+        assert table.headers == ["P \\ delta"] + [f"delta={d:g}" for d in target.delta]
+        assert [row[0] for row in table.rows] == [f"P={P}" for P in target.P]
+
+    def test_fig7(self):
+        target = paper_tables.TARGETS["fig7"]
+        [table] = paper_tables.reproduce("figure7")
+        assert table.headers == ["P", "Cilk", "HDagg", "Init", "HCcs"]
+        assert [row[0] for row in table.rows] == [f"P={P}" for P in target.P]
