@@ -26,7 +26,7 @@ sit on this engine; each turns a move into its cell deltas and hands them to
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class IncrementalCostEngine:
         self.mats[SEND, :rows] = send
         self.mats[RECV, :rows] = recv
         self.step_cost = superstep_block_costs(self.mats, self.g, self.l)
-        #: Python-list mirror of :attr:`step_cost`, kept in sync by
-        #: :meth:`apply_cells` — scalar reads on the probe path are ~10x
-        #: cheaper on a list than on the array.
-        self.step_cost_list: List[float] = self.step_cost.tolist()
         self.total_cost = float(self.step_cost.sum())
         #: Count of applied transactions — the "engine transaction" figure
         #: of convergence telemetry spans.
@@ -121,7 +117,6 @@ class IncrementalCostEngine:
             [self.mats, np.zeros((3, extra, self.P))], axis=1
         )
         self.step_cost = np.concatenate([self.step_cost, np.zeros(extra)])
-        self.step_cost_list.extend([0.0] * extra)
         self.S += extra
 
     # ------------------------------------------------------------------
@@ -165,7 +160,4 @@ class IncrementalCostEngine:
             new = superstep_block_costs(mats[:, idx], self.g, self.l)
             self.total_cost += float(new.sum() - self.step_cost[idx].sum())
             self.step_cost[idx] = new
-            mirror = self.step_cost_list
-            for r, c in zip(idx.tolist(), new.tolist()):
-                mirror[r] = c
         return self.total_cost

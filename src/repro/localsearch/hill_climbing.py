@@ -12,22 +12,24 @@ the run time; both are available here (``variant="first"`` /
 ``variant="best"``), the greedy one being the default used by the combined
 pipeline.
 
-The scan itself is pass-vectorized: each pass starts from the dense
-candidate mask of :meth:`LocalSearchState.candidate_mask` (one numpy pass
-over all nodes instead of n python neighbourhood scans), and between applied
-moves the state is static, so a node whose last probe found no improving
-move — and whose probe dependencies (its 2-hop neighbourhood via
-:meth:`LocalSearchState.probe_dependents` and the superstep rows the probe
-read) have not changed since — is provably still non-improving and is
-skipped without re-probing.  The applied move sequence is byte-identical to
-the naive probe-every-node scan.
+The scan visits the nodes in order, but probes them in batches through
+:meth:`LocalSearchState.probe`, one numpy pass per batch.  Between applied
+moves the state is static, so a probe result stays exact until a move
+touches the probed node's 2-hop neighbourhood
+(:meth:`LocalSearchState.probe_dependents`) or one of the superstep rows
+the probe read; every other result is kept, and a node whose kept result
+has no improving move is skipped without re-probing.  A batch starts at 16
+nodes and doubles while it turns up no improving move, up to a fixed cap,
+so long converged stretches cost few numpy passes while an applied move
+wastes at most one batch of prefetched results.  The applied move sequence
+is byte-identical to the naive probe-every-node scan.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,17 +41,10 @@ __all__ = ["HillClimbingResult", "hill_climb", "HillClimbingImprover"]
 
 _EPS = 1e-9
 
-#: Budget checks between ``time.monotonic()`` reads.  Clock reads are ~100ns
-#: each but called once per node in the scan loop, which dominates on small
-#: instances; striding keeps time limits responsive to within a few dozen
-#: probes while making the common (no-limit or large-instance) case free.
-_CLOCK_STRIDE = 64
-
-#: Nodes probed per :meth:`LocalSearchState.move_deltas_many` batch.  Large
-#: enough to amortize the batch's fixed numpy overhead, small enough that an
-#: applied move (which invalidates prefetched results through its touched
-#: superstep rows) wastes at most the tail of one chunk.
+#: First and largest number of nodes per :meth:`LocalSearchState.probe`
+#: batch.  The cap bounds the batch's row tensor, and so peak memory.
 _BATCH = 16
+_MAX_BATCH = 64
 
 
 @dataclass
@@ -99,158 +94,92 @@ def hill_climb(
         start_time = time.monotonic()
         moves_applied = 0
         passes = 0
-        budget_calls = 0
-        timed_out = False
+        probes = 0
+        probe_batches = 0
 
         def out_of_budget() -> bool:
-            nonlocal budget_calls, timed_out
             if max_moves is not None and moves_applied >= max_moves:
                 return True
             if max_passes is not None and passes >= max_passes:
                 return True
-            if time_limit is not None:
-                if timed_out:
-                    return True
-                budget_calls += 1
-                if budget_calls % _CLOCK_STRIDE == 1:
-                    timed_out = time.monotonic() - start_time > time_limit
-                    return timed_out
-            return False
+            return time_limit is not None and time.monotonic() - start_time > time_limit
 
-        # Probe-cache bookkeeping.  clean[v]: v's last probe found no improving
-        # move and its 2-hop probe dependencies are unchanged since; it is still
-        # non-improving iff the superstep rows that probe read (probe_rows[v])
-        # are also untouched, which the monotone move-counter stamps check in
-        # O(|rows|).  fresh[v]: v's row of the pass-level candidate mask still
-        # matches candidate_moves(v).  dirty_stamp[v]: the move counter when an
-        # applied move last invalidated v's probe dependencies — prefetched
-        # batch results are consumed only if both their rows and their node
-        # survived every move applied since the batch was probed.
-        clean = np.zeros(n, dtype=bool)
-        fresh = np.zeros(n, dtype=bool)
-        probe_stamp = np.zeros(n, dtype=np.int64)
-        dirty_stamp = np.zeros(n, dtype=np.int64)
-        probe_rows: List[Optional[np.ndarray]] = [None] * n
-        row_stamp = np.zeros(state.S, dtype=np.int64)
-        move_counter = 0
-
-        def stamp_rows(rows: np.ndarray) -> None:
-            nonlocal row_stamp
-            if rows.size:
-                if int(rows[-1]) >= row_stamp.size:  # rows are sorted unique
-                    row_stamp = np.concatenate(
-                        [row_stamp, np.zeros(int(rows[-1]) + 1 - row_stamp.size, dtype=np.int64)]
-                    )
-                row_stamp[rows] = move_counter
-
-        def rows_unchanged_since(rows: np.ndarray, stamp: int) -> bool:
-            nonlocal row_stamp
-            if rows.size == 0:
-                return True
-            if int(rows[-1]) >= row_stamp.size:
-                row_stamp = np.concatenate(
-                    [row_stamp, np.zeros(int(rows[-1]) + 1 - row_stamp.size, dtype=np.int64)]
-                )
-            return int(row_stamp[rows].max()) <= stamp
-
-        def probe_still_clean(v: int) -> bool:
-            rows = probe_rows[v]
-            return rows is not None and rows_unchanged_since(rows, int(probe_stamp[v]))
-
-        # Prefetched probes: v -> (moves, deltas, rows, stamp).  Valid at v's
-        # turn iff no applied move since `stamp` invalidated v's dependencies or
-        # touched `rows` — in which case the cached deltas equal a fresh probe.
-        cache: dict = {}
-
-        def skippable(w: int) -> bool:
-            if fresh[w] and not has_cands[w]:
-                return True
-            return bool(clean[w]) and probe_still_clean(w)
+        # known[v]: v's last probe result equals a fresh probe, because no
+        # move since touched v's probe dependencies or the superstep rows it
+        # read (read[v]).  improving[v]: that result holds an improving move;
+        # found[v] keeps its candidates and deltas until v's turn comes.
+        known = np.zeros(n, dtype=bool)
+        improving = np.zeros(n, dtype=bool)
+        read = np.zeros((n, state.S), dtype=bool)
+        found: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        batch = _BATCH
 
         improved_any = True
         while improved_any and not out_of_budget():
             improved_any = False
             passes += 1
-            # One vectorized pass builds every node's candidate neighbourhood.
-            mask = state.candidate_mask()
-            has_cands = mask.any(axis=(1, 2))
-            fresh[:] = True
-            cache.clear()
-            for v in range(n):
-                if skippable(v):
-                    continue
-                ent = cache.get(v)
-                if ent is not None:
-                    moves, deltas, rows, stamp = ent
-                    if int(dirty_stamp[v]) > stamp or not rows_unchanged_since(rows, stamp):
-                        del cache[v]
-                        ent = None
-                if ent is None:
-                    # Refill: probe v plus the next eligible nodes in one batch.
-                    batch = []
-                    w = v
-                    while w < n and len(batch) < _BATCH:
-                        if not skippable(w):
-                            entw = cache.get(w)
-                            if entw is not None and (
-                                int(dirty_stamp[w]) > entw[3]
-                                or not rows_unchanged_since(entw[2], entw[3])
-                            ):
-                                # Invalidated prefetch: reclaim the slot so the
-                                # node rides along in this batch.
-                                del cache[w]
-                                entw = None
-                            if entw is None:
-                                mv = (
-                                    state.moves_from_mask(w, mask[w])
-                                    if fresh[w]
-                                    else state.candidate_moves(w)
-                                )
-                                if mv:
-                                    batch.append((w, mv))
-                        w += 1
-                    if batch:
-                        deltas_many, rows_many = state.move_deltas_many(batch)
-                        for (w, mv), dl, rw in zip(batch, deltas_many, rows_many):
-                            cache[w] = (mv, dl, rw, move_counter)
-                    ent = cache.pop(v, None)
-                    if ent is None:
-                        continue
-                    moves, deltas, rows, stamp = ent
-                else:
-                    del cache[v]
+            # A node without candidate moves has nothing to probe.
+            idle = ~state.candidate_mask().any(axis=(1, 2))
+            known[idle] = True
+            improving[idle] = False
+            v = 0
+            while True:
+                todo = np.flatnonzero(~known[v:] | improving[v:])
+                if todo.size == 0:
+                    break
+                todo += v
+                v = int(todo[0])
                 if out_of_budget():
                     break
+                if not known[v]:
+                    # Probe v and the next unknown nodes in one batch.
+                    sel = todo[~known[todo]][:batch]
+                    mask = state.candidate_mask(sel)
+                    bi, js, procs = mask.nonzero()
+                    has = np.zeros(sel.size, dtype=bool)
+                    has[bi] = True
+                    nodes = sel[has]
+                    item = (has.cumsum() - 1)[bi]
+                    steps = state.step.take(sel)[bi] + js - 1
+                    known[sel] = True
+                    improving[sel] = False
+                    read[sel] = False
+                    if nodes.size:
+                        deltas, row_item, rows = state.probe(nodes, item, procs, steps)
+                        probes += nodes.size
+                        probe_batches += 1
+                        if state.S > read.shape[1]:
+                            read = np.pad(read, ((0, 0), (0, state.S - read.shape[1])))
+                        read[nodes.take(row_item), rows] = True
+                        better = np.unique(item[deltas < -_EPS])
+                        improving[nodes.take(better)] = True
+                        bounds = np.searchsorted(item, np.stack((better, better + 1)))
+                        for i, c0, c1 in zip(better.tolist(), *bounds.tolist()):
+                            found[int(nodes[i])] = (procs[c0:c1], steps[c0:c1], deltas[c0:c1])
+                        if better.size == 0:
+                            batch = min(2 * batch, _MAX_BATCH)
+                    continue
+                procs, steps, deltas = found.pop(v)
                 if variant == "first":
-                    improving = np.nonzero(deltas < -_EPS)[0]
-                    chosen = int(improving[0]) if improving.size else None
+                    chosen = int(np.argmax(deltas < -_EPS))
                 else:
                     chosen = int(np.argmin(deltas))
-                    if deltas[chosen] >= -_EPS:
-                        chosen = None
-                if chosen is None:
-                    clean[v] = True
-                    probe_stamp[v] = stamp
-                    probe_rows[v] = rows
-                    continue
-                _, p, s = moves[chosen]
+                p, s = int(procs[chosen]), int(steps[chosen])
                 cross_proc = p != int(state.proc[v])
                 state.apply_move(v, p, s)
                 moves_applied += 1
-                move_counter += 1
                 improved_any = True
-                stamp_rows(state.last_touched_rows)
+                batch = _BATCH
                 if state.memory_bounded and cross_proc:
                     # Memory headroom changed on two processors; any node's
                     # candidate set may have gained/lost targets.
-                    clean[:] = False
-                    fresh[:] = False
-                    dirty_stamp[:] = move_counter
+                    known[:] = False
                 else:
-                    deps = state.probe_dependents(v)
-                    clean[deps] = False
-                    fresh[deps] = False
-                    dirty_stamp[deps] = move_counter
+                    known[state.probe_dependents(v)] = False
+                touched = state.last_touched_rows
+                touched = touched[touched < read.shape[1]]
+                known &= ~read[:, touched].any(axis=1)
+                v += 1
             if _trace.enabled():
                 # Convergence telemetry: one cost-vs-pass sample per scan.  The
                 # hook reads state, never steers the search.
@@ -274,6 +203,8 @@ def hill_climb(
                 final_cost=result.final_cost,
                 moves=moves_applied,
                 passes=passes,
+                probes=probes,
+                probe_batches=probe_batches,
                 engine_transactions=state.engine.transactions,
             )
         return result

@@ -13,8 +13,8 @@ owners:
   kernels as :mod:`repro.model.cost`, so the cost formula has a single
   source of truth;
 * the node tables live here: the assignment ``proc`` / ``step``, the dense
-  ``(n, P)`` tables ``succ_min`` / ``succ_min_cnt`` / ``succ_cnt`` (for
-  every node ``u`` and processor ``p``: the earliest superstep of a
+  ``(n, P)`` numpy tables ``succ_min`` / ``succ_min_cnt`` / ``succ_cnt``
+  (for every node ``u`` and processor ``p``: the earliest superstep of a
   successor of ``u`` on ``p``, how many successors sit at that step and how
   many are on ``p`` in total — exactly what keeps the lazy communication
   step of every transfer ``u -> p`` in O(1) per move, with an occasional CSR
@@ -28,14 +28,13 @@ owners:
 move into its matrix cell deltas, which it hands to
 :meth:`IncrementalCostEngine.apply_cells` as one transaction — the engine's
 only mutation path, so its transaction count and touched rows are true for
-every move.  Candidate moves are probed with
-:meth:`LocalSearchState.move_deltas_many` (and its single-node forms
-:meth:`~LocalSearchState.move_deltas` / :meth:`~LocalSearchState.move_delta`),
-which compute cost changes on copies of the affected rows and leave the
-state unchanged.  Hill climbing and simulated annealing share these entry
-points.  For pass-level searches, :meth:`LocalSearchState.candidate_mask`
-exposes the whole move neighbourhood (step bounds and memory feasibility
-included) as one dense boolean array, and
+every move.  Candidate moves are probed by :meth:`LocalSearchState.probe`,
+one vectorized numpy pass over a whole batch of nodes that reads the tables
+and the matrices and writes neither; :meth:`~LocalSearchState.move_deltas`
+and :meth:`~LocalSearchState.move_delta` are its one-node forms.  Hill climbing and simulated annealing share
+these entry points.  For pass-level searches,
+:meth:`LocalSearchState.candidate_mask` exposes the move neighbourhood (step
+bounds and memory feasibility included) as one dense boolean array, and
 :meth:`LocalSearchState.probe_dependents` names the nodes whose probe
 results an applied move can invalidate — which is what lets
 :func:`~repro.localsearch.hill_climbing.hill_climb` skip re-probing nodes
@@ -49,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs.dag import ComputationalDAG
-from ..model.cost import superstep_matrices
+from ..model.cost import superstep_block_costs, superstep_matrices
 from ..model.machine import MEMORY_EPS, BspMachine
 from ..model.schedule import BspSchedule
 from .engine import RECV, SEND, WORK, Cell, IncrementalCostEngine
@@ -64,7 +63,11 @@ Move = Tuple[int, int, int]
 #: not overflow int64 arithmetic.
 _NO_STEP = np.iinfo(np.int64).max // 4
 
-_EMPTY_ROWS = np.zeros(0, dtype=np.int64)
+#: Signs of a transfer's (old row, new row) cell pair.
+_SIGNS = np.array([-1.0, 1.0])
+
+#: Row index of the probe's sentinel rows: far below any valid flat index.
+_OUT_OF_RANGE = -(1 << 40)
 
 
 class LocalSearchState:
@@ -92,11 +95,6 @@ class LocalSearchState:
         self._pred_indices = self.dag.pred_indices
         self._work_of = np.asarray(self.dag.work, dtype=np.float64)
         self._comm_of = np.asarray(self.dag.comm, dtype=np.float64)
-        # Plain-python mirrors for scalar hot-loop lookups (a numpy scalar
-        # index costs ~10x a list index).
-        self._work_list = self._work_of.tolist()
-        self._comm_list = self._comm_of.tolist()
-        self._numa_list = self.numa.tolist()
 
         # Memory-constrained model variant: per-node memory weights and the
         # running per-processor usage, maintained only when the machine
@@ -125,25 +123,19 @@ class LocalSearchState:
         slack = max_step + 1 + self._SLACK - work.shape[0]
         self.engine = IncrementalCostEngine(work, send, recv, self.g, self.l, slack=slack)
 
-        # Dense successor-step tables replacing the per-(node, processor)
-        # Counter multisets of earlier revisions.  They are built vectorized
-        # but kept as plain nested python lists afterwards: every hot-path
-        # access is a scalar read/write, which python lists serve ~10x
-        # faster than numpy fancy scalar indexing.
-        succ_min = np.full((n, self.P), _NO_STEP, dtype=np.int64)
-        succ_min_cnt = np.zeros((n, self.P), dtype=np.int64)
-        succ_cnt = np.zeros((n, self.P), dtype=np.int64)
+        # Dense successor-step tables, built vectorized; the probe reads
+        # them in bulk and only applied moves write them.
+        self.succ_min = np.full((n, self.P), _NO_STEP, dtype=np.int64)
+        self.succ_min_cnt = np.zeros((n, self.P), dtype=np.int64)
+        self.succ_cnt = np.zeros((n, self.P), dtype=np.int64)
         if self.dag.num_edges:
             eu = self.dag.edge_sources
             pv = self.proc[self.dag.edge_targets]
             sv = self.step[self.dag.edge_targets]
-            np.add.at(succ_cnt, (eu, pv), 1)
-            np.minimum.at(succ_min, (eu, pv), sv)
-            at_min = sv == succ_min[eu, pv]
-            np.add.at(succ_min_cnt, (eu[at_min], pv[at_min]), 1)
-        self.succ_min: List[List[int]] = succ_min.tolist()
-        self.succ_min_cnt: List[List[int]] = succ_min_cnt.tolist()
-        self.succ_cnt: List[List[int]] = succ_cnt.tolist()
+            np.add.at(self.succ_cnt, (eu, pv), 1)
+            np.minimum.at(self.succ_min, (eu, pv), sv)
+            at_min = sv == self.succ_min[eu, pv]
+            np.add.at(self.succ_min_cnt, (eu[at_min], pv[at_min]), 1)
 
         # Dense per-(node, processor) step-bound tables; built vectorized on
         # first use (pass-level searches need all rows, probe-only users
@@ -151,11 +143,6 @@ class LocalSearchState:
         self._lo: Optional[np.ndarray] = None
         self._hi: Optional[np.ndarray] = None
         self._bounds_dirty = np.zeros(n, dtype=bool)
-
-        #: Superstep rows read by the most recent :meth:`move_deltas` probe
-        #: (the probe's delta is a pure function of these rows plus the
-        #: probed node's 2-hop neighbourhood assignments).
-        self.last_probe_rows: np.ndarray = _EMPTY_ROWS
 
     # ------------------------------------------------------------------
     # Engine delegation (the matrices live on the shared engine)
@@ -200,20 +187,15 @@ class LocalSearchState:
     # ------------------------------------------------------------------
     # Low-level helpers
     # ------------------------------------------------------------------
-    def _needed_step(self, u: int, p: int) -> Optional[int]:
-        """Earliest superstep in which a successor of ``u`` on ``p`` runs."""
-        m = self.succ_min[u][p]
-        return None if m >= _NO_STEP else m
-
     def _succ_inc(self, u: int, p: int, s: int) -> None:
         """Record one more successor of ``u`` on processor ``p`` at step ``s``."""
-        self.succ_cnt[u][p] += 1
-        m = self.succ_min[u][p]
+        self.succ_cnt[u, p] += 1
+        m = self.succ_min[u, p]
         if s < m:
-            self.succ_min[u][p] = s
-            self.succ_min_cnt[u][p] = 1
+            self.succ_min[u, p] = s
+            self.succ_min_cnt[u, p] = 1
         elif s == m:
-            self.succ_min_cnt[u][p] += 1
+            self.succ_min_cnt[u, p] += 1
 
     def _succ_dec(self, u: int, p: int, s: int) -> None:
         """Remove one successor of ``u`` on processor ``p`` at step ``s``.
@@ -222,21 +204,21 @@ class LocalSearchState:
         minimum is recovered by a CSR rescan of ``u``'s successor list; that
         scan must therefore run *after* ``proc``/``step`` reflect the move.
         """
-        self.succ_cnt[u][p] -= 1
-        if s != self.succ_min[u][p]:
+        self.succ_cnt[u, p] -= 1
+        if s != self.succ_min[u, p]:
             return
-        cnt = self.succ_min_cnt[u][p] - 1
+        cnt = self.succ_min_cnt[u, p] - 1
         if cnt > 0:
-            self.succ_min_cnt[u][p] = cnt
-        elif self.succ_cnt[u][p] == 0:
-            self.succ_min[u][p] = _NO_STEP
-            self.succ_min_cnt[u][p] = 0
+            self.succ_min_cnt[u, p] = cnt
+        elif self.succ_cnt[u, p] == 0:
+            self.succ_min[u, p] = _NO_STEP
+            self.succ_min_cnt[u, p] = 0
         else:
             children = self._succ_indices[self._succ_indptr[u]:self._succ_indptr[u + 1]]
             steps = self.step[children[self.proc[children] == p]]
             new_min = int(steps.min())
-            self.succ_min[u][p] = new_min
-            self.succ_min_cnt[u][p] = int((steps == new_min).sum())
+            self.succ_min[u, p] = new_min
+            self.succ_min_cnt[u, p] = int((steps == new_min).sum())
 
     # ------------------------------------------------------------------
     # Move validity
@@ -399,38 +381,38 @@ class LocalSearchState:
                     moves.append((v, p, target_step))
         return moves
 
-    def candidate_mask(self) -> np.ndarray:
-        """Dense ``(n, 3, P)`` mask of the whole move neighbourhood.
+    def candidate_mask(self, nodes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Dense ``(k, 3, P)`` mask of the move neighbourhood of ``nodes``.
 
-        ``mask[v, j, p]`` is True iff moving ``v`` to processor ``p`` in
-        superstep ``step[v] + j - 1`` is valid (step bounds, non-identity
-        and memory feasibility included); axis 1 enumerates the target steps
-        ``s-1, s, s+1`` in :meth:`candidate_moves` order, so
-        ``np.nonzero(mask[v])`` reproduces that method's move ordering.
+        ``mask[i, j, p]`` is True iff moving ``nodes[i]`` (all nodes by
+        default) to processor ``p`` in superstep ``step + j - 1`` is valid
+        (step bounds, non-identity and memory feasibility included); axis 1
+        enumerates the target steps ``s-1, s, s+1`` in
+        :meth:`candidate_moves` order, so ``np.nonzero(mask[i])`` reproduces
+        that method's move ordering.
         """
-        n = self.dag.n
-        mask = np.zeros((n, 3, self.P), dtype=bool)
-        if n == 0:
-            return mask
+        if nodes is None:
+            nodes = np.arange(self.dag.n)
+        k = nodes.size
+        if k == 0:
+            return np.zeros((0, 3, self.P), dtype=bool)
         self._refresh_bounds()
-        t = self.step[:, None] + np.array([-1, 0, 1], dtype=np.int64)[None, :]
-        t3 = t[:, :, None]
-        mask = (self._lo[:, None, :] <= t3) & (t3 <= self._hi[:, None, :]) & (t3 >= 0)
-        mask[np.arange(n), 1, self.proc] = False
+        t3 = (self.step.take(nodes)[:, None] + np.arange(-1, 2))[:, :, None]
+        mask = (
+            (self._lo.take(nodes, axis=0)[:, None, :] <= t3)
+            & (t3 <= self._hi.take(nodes, axis=0)[:, None, :])
+            & (t3 >= 0)
+        )
+        p0 = self.proc.take(nodes)
+        mask[np.arange(k), 1, p0] = False
         if self._mem_bounds is not None:
             used = np.asarray(self.mem_used)
             bounds = np.asarray(self._mem_bounds)
-            mem = np.asarray(self._mem_list)
+            mem = np.asarray(self._mem_list).take(nodes)
             fits = mem[:, None] + used[None, :] <= bounds[None, :] + MEMORY_EPS
-            fits[np.arange(n), self.proc] = True
+            fits[np.arange(k), p0] = True
             mask &= fits[:, None, :]
         return mask
-
-    def moves_from_mask(self, v: int, mask_row: np.ndarray) -> List[Move]:
-        """Decode one row of :meth:`candidate_mask` into a move list."""
-        s = int(self.step[v])
-        steps, procs = np.nonzero(mask_row)
-        return [(v, int(p), s + int(j) - 1) for j, p in zip(steps, procs)]
 
     def probe_dependents(self, v: int) -> np.ndarray:
         """Nodes whose cached probe results a move of ``v`` can invalidate.
@@ -441,7 +423,7 @@ class LocalSearchState:
         predecessors.  Moving ``v`` therefore only affects probes of ``v``
         itself, its neighbours, and its siblings-through-a-shared-parent;
         all other probe results stay valid as long as the superstep rows
-        they read (:attr:`last_probe_rows`) are untouched.
+        they read (the rows :meth:`probe` returns) are untouched.
         """
         preds = self._pred_indices[self._pred_indptr[v]:self._pred_indptr[v + 1]]
         parts = [
@@ -468,7 +450,7 @@ class LocalSearchState:
         old_step = int(self.step[v])
 
         # --- work matrix -------------------------------------------------
-        w_v = self._work_list[v]
+        w_v = float(self._work_of[v])
         cells: List[Cell] = [(WORK, old_step, old_proc, -w_v), (WORK, new_step, new_proc, w_v)]
 
         # --- outgoing transfers of v (v as the producer) -------------------
@@ -477,9 +459,11 @@ class LocalSearchState:
         # processor's load) does, and targets equal to the old/new processor
         # appear/disappear: remove every transfer from the old processor,
         # then add every transfer from the new one.
-        c_v = self._comm_list[v]
-        numa = self._numa_list
-        needed = [(q, nd - 1) for q, nd in enumerate(self.succ_min[v]) if nd < _NO_STEP]
+        c_v = float(self._comm_of[v])
+        numa = self.numa.tolist()
+        needed = [
+            (q, nd - 1) for q, nd in enumerate(self.succ_min[v].tolist()) if nd < _NO_STEP
+        ]
         for q, row in needed:
             if q != old_proc:
                 volume = c_v * numa[old_proc][q]
@@ -506,7 +490,7 @@ class LocalSearchState:
         for u in self._pred_indices[self._pred_indptr[v]:self._pred_indptr[v + 1]].tolist():
             pu = int(self.proc[u])
             min_row = self.succ_min[u]
-            old_needed = [min_row[q] for q in targets]
+            old_needed = [int(min_row[q]) for q in targets]
             if new_proc == old_proc:
                 # Same-processor step change: add before remove so that a
                 # rescan triggered by the removal sees the final multiset.
@@ -518,10 +502,10 @@ class LocalSearchState:
             for q, was_needed in zip(targets, old_needed):
                 if q == pu:
                     continue
-                now_needed = min_row[q]
+                now_needed = int(min_row[q])
                 if was_needed == now_needed:
                     continue
-                volume = self._comm_list[u] * numa[pu][q]
+                volume = float(self._comm_of[u]) * numa[pu][q]
                 if was_needed < _NO_STEP:
                     cells += (
                         (SEND, was_needed - 1, pu, -volume),
@@ -553,237 +537,198 @@ class LocalSearchState:
         """
         return self.engine.apply_cells(self._move_cells(v, new_proc, new_step))
 
-    def move_deltas_many(
-        self, items: Sequence[Tuple[int, Sequence[Move]]]
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Cost changes for candidate moves of *many* nodes, state unchanged.
+    def probe(
+        self,
+        nodes: np.ndarray,
+        item: np.ndarray,
+        procs: np.ndarray,
+        steps: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cost changes of a batch of candidate moves, state unchanged.
 
-        This is the batched probe at the heart of the local searches.  For
-        each ``(v, moves)`` item, ``v``'s contribution at its current
-        position is removed once (shared by all its candidates) and each
-        candidate's additions are scattered into its own copy of the
-        affected superstep rows; the copies of *all items* live in one
-        ``(3, sum_i K_i * nR_i, P)`` tensor, so the whole batch costs one
-        gather, two scatter-adds and a single fused cost-kernel pass instead
-        of a dozen numpy calls per node.  All moves of an item must be valid
-        moves of that item's node (e.g. :meth:`candidate_moves` output); all
-        probes are evaluated against the same (current) state.
+        This is the probe at the heart of the local searches, one numpy pass
+        per batch.  ``nodes`` are the probed nodes; candidate ``c`` moves
+        ``nodes[item[c]]`` to ``(procs[c], steps[c])``.  Candidates must be
+        grouped by item in item order, every node needs at least one
+        candidate, and every candidate must be a valid move of its node
+        (e.g. a row of :meth:`candidate_mask`); all are evaluated against the
+        same (current) state.
 
-        Returns ``(deltas, rows)``: per item, the per-candidate cost deltas
-        and the sorted superstep rows the probe read (the probe result is a
-        pure function of those rows plus the node's 2-hop neighbourhood
-        assignments — see :meth:`probe_dependents`).
+        Each node's contribution at its current position is removed once
+        (shared by its candidates), and each candidate's additions are
+        scattered into its own copy of the affected superstep rows; the
+        copies of the whole batch live in one ``(3, rows, P)`` tensor that is
+        re-costed by one fused kernel pass.  Taking the node out of its
+        parents' successor tables is computed, never written.
+
+        Returns ``(deltas, row_item, rows)``: the cost delta of every
+        candidate, and the superstep rows each item's probe read as flat
+        arrays sorted by ``(item, row)``.  A probe result is a pure function
+        of those rows plus the node's 2-hop neighbourhood assignments (see
+        :meth:`probe_dependents`).
         """
         engine = self.engine
         P = self.P
-        numa = self._numa_list
-        sc = engine.step_cost_list
-        max_s = -1
-        for _, moves in items:
-            for mm in moves:
-                if mm[2] > max_s:
-                    max_s = mm[2]
-        if max_s >= 0:
-            engine.ensure_capacity(max_s)
+        m = nodes.size
+        C = item.size
+        engine.ensure_capacity(int(steps.max()))
         S = engine.S
+        # Row r of item i is column r + 2 of an (m, W) bitmap; columns 0, 1
+        # (rows -2, -1) and W - 1 (no row) absorb the sentinels.
+        W = S + 3
+        proc, smin, numa, comm = self.proc, self.succ_min, self.numa, self._comm_of
+        rng_m = np.arange(m)
+        p0 = proc.take(nodes)
+        s0 = self.step.take(nodes)
+        out = smin.take(nodes, axis=0)              # out[i, q] - 1: row of the transfer v -> q
+        c_v = comm.take(nodes)
 
-        all_rows: List[int] = []      #: concatenated per-item sorted row sets
-        src: List[int] = []           #: base-row index for each expanded row
-        rm_m: List[int] = []          #: removal scatter (matrix, row, col, val)
-        rm_r: List[int] = []
-        rm_c: List[int] = []
-        rm_v: List[float] = []
-        ad_m: List[int] = []          #: per-candidate addition scatter
-        ad_r: List[int] = []
-        ad_c: List[int] = []
-        ad_v: List[float] = []
-        seg_starts: List[int] = []    #: first expanded row of every candidate
-        base_costs: List[float] = []  #: current cost of each item's rows, per candidate
-        shape: List[Tuple[int, int]] = []
-        rows_out: List[np.ndarray] = []
-        n_off = 0   # rows gathered so far
-        m_off = 0   # expanded (candidate-replicated) rows so far
+        # --- parents, padded to the widest in-degree: (m, k) lanes ---------
+        first = self._pred_indptr.take(nodes)
+        n_par = self._pred_indptr.take(nodes + 1) - first
+        k = int(n_par.max())
+        lane = np.arange(k)
+        par = self._pred_indices.take(first[:, None] + lane, mode="clip")
+        pu = proc.take(par)
+        # The parents' successor tables with the node taken out: only the p0
+        # column changes, and only when the node is the last successor at the
+        # minimum (then a CSR rescan finds the next one).  Padding lanes read
+        # "needed at step -1", which no candidate step is below.
+        base = smin.take(par, axis=0)               # (m, k, P)
+        base[lane >= n_par[:, None]] = -1
+        at_p0 = (rng_m[:, None], lane, p0[:, None])
+        nd_old = base[at_p0]
+        last = (nd_old == s0[:, None]) & (self.succ_min_cnt[par, p0[:, None]] == 1)
+        nd_new = np.where(last, _NO_STEP, nd_old)
+        rescan = last & (self.succ_cnt[par, p0[:, None]] > 1)
+        if rescan.any():
+            si, sx, step = self._succ_indptr, self._succ_indices, self.step
+            for i, j in zip(*rescan.nonzero()):
+                kids = sx[si[par[i, j]]:si[par[i, j] + 1]]
+                nd_new[i, j] = step[kids[(proc[kids] == p0[i]) & (kids != nodes[i])]].min()
+        base[at_p0] = nd_new
 
-        for v, moves in items:
-            if not moves:
-                shape.append((0, 0))
-                rows_out.append(_EMPTY_ROWS)
-                continue
-            p0 = int(self.proc[v])
-            s0 = int(self.step[v])
-            parents = self._pred_indices[self._pred_indptr[v]:self._pred_indptr[v + 1]].tolist()
-            proc_of = {u: int(self.proc[u]) for u in parents}
-            w_v = self._work_list[v]
-            c_v = self._comm_list[v]
+        # --- every superstep row a candidate can touch, per item -----------
+        # s0, the out-transfer rows, each candidate's s and s-1, and for each
+        # parent its old p0 row and its row on every candidate processor.
+        used = np.zeros((m, P), dtype=bool)
+        used[item, procs] = True
+        used[rng_m, p0] = True
+        col = np.concatenate((
+            s0 + 2, out.ravel() + 1, steps + 2, steps + 1, nd_old.ravel() + 1,
+            np.where(used[:, None, :], base, -1).ravel() + 1,
+        ))
+        np.minimum(col, W - 1, out=col)
+        mW = rng_m * W
+        iW = mW.take(item)
+        col += np.concatenate((mW, mW.repeat(P), iW, iW, mW.repeat(k), mW.repeat(k * P)))
+        mark = np.zeros((m, W), dtype=bool)
+        flat_mark = mark.ravel()
+        flat_mark[col] = True
+        mark[:, :2] = False
+        mark[:, -1] = False
+        n_rows = mark.sum(axis=1)
+        flat = flat_mark.nonzero()[0]
+        row_item = flat // W
+        rows = flat - row_item * W - 2
+        NR = flat.size
+        # pos[i, r + 2]: index of row r of item i among all rows; the
+        # sentinel columns point far out of range, so that a cell there (an
+        # invalid move) fails the scatter instead of landing anywhere.
+        pos = (flat_mark.cumsum() - 1).reshape(m, W)
+        pos[:, :2] = _OUT_OF_RANGE
+        pos[:, -1] = _OUT_OF_RANGE
 
-            # Targets of v's outgoing transfers (independent of v's position).
-            needed_row = self.succ_min[v]
-            out_q = [q for q in range(P) if needed_row[q] < _NO_STEP]
-            out_rows = [needed_row[q] - 1 for q in out_q]
+        # Expanded layout: candidate c owns its item's rows from seg[c] on.
+        c_rows = n_rows.take(item)
+        seg = c_rows.cumsum() - c_rows
+        NT = int(seg[-1] + c_rows[-1])
+        shift = seg - (n_rows.cumsum() - n_rows).take(item)
 
-            # --- phase 1: virtually remove v from the successor tables -----
-            # The sentinel step keeps a _succ_dec rescan from seeing v at s0.
-            # Collection runs under try/finally so that even a probe of an
-            # invalid move (a precondition violation) cannot leave the
-            # tables in the "v removed" state.
-            old_nd_p0 = {}
-            self.step[v] = _NO_STEP
-            for u in parents:
-                old_nd_p0[u] = self.succ_min[u][p0]
-                self._succ_dec(u, p0, s0)
-            try:
-                # --- collect every superstep row a candidate can touch -----
-                cand_procs = {m[1] for m in moves}
-                cand_procs.add(p0)
-                rows = {s0}
-                rows.update(out_rows)
-                for (_, _, s) in moves:
-                    rows.add(s)
-                    rows.add(s - 1)
-                base_nd: dict = {}
-                for u in parents:
-                    if old_nd_p0[u] < _NO_STEP:
-                        rows.add(old_nd_p0[u] - 1)
-                    min_row = self.succ_min[u]
-                    for p in cand_procs:
-                        nd = min_row[p]
-                        base_nd[(u, p)] = nd
-                        if nd < _NO_STEP:
-                            rows.add(nd - 1)
-                rows_sorted = sorted(r for r in rows if 0 <= r < S)
-                nR = len(rows_sorted)
-                ridx = dict(zip(rows_sorted, range(nR)))
+        # Cell deltas as flat indices into the (3, rows, P) blocks.  The cells
+        # of one item (removal) or one candidate (additions) that can share a
+        # matrix cell come in the order of the sequential reference -- the
+        # node's transfers by target, its parents' in CSR order, old row
+        # before new -- so np.add.at sums every cell in the same order.
+        qs = np.arange(P)
 
-                # --- phase 2: shared removal deltas (item's base rows) -----
-                rm_m.append(0)
-                rm_r.append(n_off + ridx[s0])
-                rm_c.append(p0)
-                rm_v.append(-w_v)
-                for q, row in zip(out_q, out_rows):
-                    if q == p0:
-                        continue
-                    volume = c_v * numa[p0][q]
-                    i = n_off + ridx[row]
-                    rm_m += (1, 2)
-                    rm_r += (i, i)
-                    rm_c += (p0, q)
-                    rm_v += (-volume, -volume)
-                for u in parents:
-                    pu = proc_of[u]
-                    if pu == p0:
-                        continue
-                    nd_old, nd_new = old_nd_p0[u], base_nd[(u, p0)]
-                    if nd_old == nd_new:
-                        continue
-                    volume = self._comm_list[u] * numa[pu][p0]
-                    if nd_old < _NO_STEP:
-                        i = n_off + ridx[nd_old - 1]
-                        rm_m += (1, 2)
-                        rm_r += (i, i)
-                        rm_c += (pu, p0)
-                        rm_v += (-volume, -volume)
-                    if nd_new < _NO_STEP:
-                        i = n_off + ridx[nd_new - 1]
-                        rm_m += (1, 2)
-                        rm_r += (i, i)
-                        rm_c += (pu, p0)
-                        rm_v += (volume, volume)
+        # --- removal of every node from its current position ---------------
+        keep = (out < _NO_STEP) & (qs != p0[:, None])
+        oi, oq = keep.nonzero()
+        o_at = pos[oi, out[keep] + 1] * P
+        o_vol = -c_v.take(oi) * numa[p0.take(oi), oq]
+        moved = (pu != p0[:, None]) & (nd_old != nd_new)
+        two = np.empty((m, k, 2), dtype=np.int64)
+        two[..., 0] = nd_old
+        two[..., 1] = nd_new
+        live = (moved[..., None] & (two < _NO_STEP)).ravel()
+        r_at = pos[rng_m.repeat(2 * k)[live], two.ravel()[live] + 1] * P
+        r_vol = ((comm.take(par) * numa[pu, p0[:, None]])[..., None] * _SIGNS).ravel()[live]
+        NRP = NR * P
+        rm_idx = np.concatenate((
+            pos[rng_m, s0 + 2] * P + p0,
+            NRP + o_at + p0.take(oi), 2 * NRP + o_at + oq,
+            NRP + r_at + pu.repeat(2)[live], 2 * NRP + r_at + p0.repeat(2 * k)[live],
+        ))
+        rm_val = np.concatenate((-self._work_of.take(nodes), o_vol, o_vol, r_vol, r_vol))
 
-                # --- phase 3: per-candidate addition deltas ----------------
-                K = len(moves)
-                for k, (_, p, s) in enumerate(moves):
-                    fo = m_off + k * nR
-                    seg_starts.append(fo)
-                    ad_m.append(0)
-                    ad_r.append(fo + ridx[s])
-                    ad_c.append(p)
-                    ad_v.append(w_v)
-                    for q, row in zip(out_q, out_rows):
-                        if q == p:
-                            continue
-                        volume = c_v * numa[p][q]
-                        i = fo + ridx[row]
-                        ad_m += (1, 2)
-                        ad_r += (i, i)
-                        ad_c += (p, q)
-                        ad_v += (volume, volume)
-                    for u in parents:
-                        pu = proc_of[u]
-                        if p == pu:
-                            continue
-                        nd = base_nd[(u, p)]
-                        if s < nd:
-                            # v becomes the earliest consumer of u on p: the
-                            # (lazy) transfer u -> p moves from superstep
-                            # nd-1 to superstep s-1.
-                            volume = self._comm_list[u] * numa[pu][p]
-                            if nd < _NO_STEP:
-                                i = fo + ridx[nd - 1]
-                                ad_m += (1, 2)
-                                ad_r += (i, i)
-                                ad_c += (pu, p)
-                                ad_v += (-volume, -volume)
-                            i = fo + ridx[s - 1]
-                            ad_m += (1, 2)
-                            ad_r += (i, i)
-                            ad_c += (pu, p)
-                            ad_v += (volume, volume)
-            finally:
-                # --- phase 4: restore the successor tables -----------------
-                for u in parents:
-                    self._succ_inc(u, p0, s0)
-                self.step[v] = s0
+        # --- per-candidate additions ----------------------------------------
+        c_out = out.take(item, axis=0)
+        keep = (c_out < _NO_STEP) & (qs != procs[:, None])
+        ci, cq = keep.nonzero()
+        a_at = (pos[item.take(ci), c_out[keep] + 1] + shift.take(ci)) * P
+        a_vol = c_v.take(item).take(ci) * numa[procs.take(ci), cq]
+        # Moving onto p before u's earliest consumer there pulls the (lazy)
+        # transfer u -> p from superstep nd-1 forward to superstep s-1.
+        c_pu = pu.take(item, axis=0)                # (C, k)
+        nd = base[item[:, None], lane, procs[:, None]]
+        earlier = (c_pu != procs[:, None]) & (steps[:, None] < nd)
+        two = np.empty((C, k, 2), dtype=np.int64)
+        two[..., 0] = nd
+        two[..., 1] = steps[:, None]
+        live = (earlier[..., None] & (two < _NO_STEP)).ravel()
+        t_at = (pos[item.repeat(2 * k)[live], two.ravel()[live] + 1]
+                + shift.repeat(2 * k)[live]) * P
+        t_vol = comm.take(par).take(item, axis=0) * numa[c_pu, procs[:, None]]
+        t_vol = (t_vol[..., None] * _SIGNS).ravel()[live]
+        NTP = NT * P
+        ad_idx = np.concatenate((
+            (pos[item, steps + 2] + shift) * P + procs,
+            NTP + a_at + procs.take(ci), 2 * NTP + a_at + cq,
+            NTP + t_at + c_pu.repeat(2)[live], 2 * NTP + t_at + procs.repeat(2 * k)[live],
+        ))
+        ad_val = np.concatenate((self._work_of.take(nodes).take(item), a_vol, a_vol, t_vol, t_vol))
 
-            bc = 0.0
-            for r in rows_sorted:
-                bc += sc[r]
-            base_costs.extend([bc] * K)
-            rr = list(range(n_off, n_off + nR))
-            for _ in range(K):
-                src += rr
-            all_rows += rows_sorted
-            rows_out.append(np.fromiter(rows_sorted, dtype=np.int64, count=nR))
-            shape.append((K, nR))
-            n_off += nR
-            m_off += K * nR
-
-        if m_off == 0:
-            return [np.zeros(0, dtype=np.float64) for _ in items], rows_out
-
-        # --- phase 5: one gather + scatter + fused cost pass for the batch -
-        # Every item owns its own copies of its rows, so duplicate rows
-        # across items are independent; the additions scatter must be a
-        # buffered np.add.at because one candidate can hit a cell twice.
-        R_all = np.fromiter(all_rows, dtype=np.int64, count=n_off)
-        base_big = engine.mats[:, R_all]
-        np.add.at(base_big, (rm_m, rm_r, rm_c), rm_v)
-        T = base_big[:, np.fromiter(src, dtype=np.int64, count=m_off)]
-        np.add.at(T, (ad_m, ad_r, ad_c), ad_v)
-
-        from ..model.cost import superstep_block_costs
-
-        costs = superstep_block_costs(T, self.g, self.l)
-        sums = np.add.reduceat(costs, np.fromiter(seg_starts, dtype=np.int64, count=len(seg_starts)))
-        diff = sums - np.array(base_costs)
-        deltas: List[np.ndarray] = []
-        k_off = 0
-        for K, _ in shape:
-            deltas.append(diff[k_off:k_off + K])
-            k_off += K
-        return deltas, rows_out
+        # --- one gather + scatter + fused cost pass for the batch ----------
+        # np.take returns C-contiguous blocks, so the flat views alias them.
+        block = engine.mats.take(rows, axis=1)
+        try:
+            np.add.at(block.reshape(-1), rm_idx, rm_val)
+            T = block.take(np.arange(NT) - shift.repeat(c_rows), axis=1)
+            np.add.at(T.reshape(-1), ad_idx, ad_val)
+        except IndexError:
+            raise ValueError("probe of an invalid move (a transfer before superstep 0)") from None
+        sums = np.add.reduceat(superstep_block_costs(T, self.g, self.l), seg)
+        # Each item's current cost over its rows, summed row by row in order
+        # (the zeros of unread rows leave a running sum unchanged).
+        current = (mark[:, 2:S + 2] * engine.step_cost).cumsum(axis=1)[:, -1]
+        return sums - current.take(item), row_item, rows
 
     def move_deltas(self, v: int, moves: Sequence[Move]) -> np.ndarray:
         """Cost changes of several candidate moves of ``v``, state unchanged.
 
-        Single-item convenience wrapper around :meth:`move_deltas_many`.
-        All ``moves`` must be valid moves of the same node ``v`` (e.g. the
-        output of :meth:`candidate_moves`).
+        One-item form of :meth:`probe`.  All ``moves`` must be valid moves
+        of the same node ``v`` (e.g. the output of :meth:`candidate_moves`).
         """
         if not moves:
             return np.zeros(0, dtype=np.float64)
-        deltas, rows = self.move_deltas_many([(v, moves)])
-        self.last_probe_rows = rows[0]
-        return deltas[0]
+        deltas, _, _ = self.probe(
+            np.array([v], dtype=np.int64),
+            np.zeros(len(moves), dtype=np.int64),
+            np.array([mv[1] for mv in moves], dtype=np.int64),
+            np.array([mv[2] for mv in moves], dtype=np.int64),
+        )
+        return deltas
 
     def move_delta(self, v: int, new_proc: int, new_step: int) -> float:
         """Cost change the move would cause, leaving the state unchanged."""

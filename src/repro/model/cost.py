@@ -40,6 +40,12 @@ __all__ = [
 #: (guards against float residue left behind by incremental +=/-= updates).
 OCCUPANCY_TOL = 1e-12
 
+#: From this many superstep rows on, :func:`superstep_block_costs` takes the
+#: per-row maximum as an elementwise maximum over the processor columns:
+#: numpy reduces a short last axis one row at a time, which costs ~10x more
+#: on the local-search probe blocks.  Both give the same (exact) maximum.
+_COLUMNWISE_MAX_ROWS = 64
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -149,7 +155,12 @@ def superstep_block_costs(blocks: np.ndarray, g: float, l: float) -> np.ndarray:
     """
     if blocks.size == 0:
         return np.zeros(blocks.shape[1], dtype=np.float64)
-    mx = blocks.max(axis=2)
+    if blocks.shape[1] >= _COLUMNWISE_MAX_ROWS:
+        mx = blocks[:, :, 0].copy()
+        for p in range(1, blocks.shape[2]):
+            np.maximum(mx, blocks[:, :, p], out=mx)
+    else:
+        mx = blocks.max(axis=2)
     occurs = (blocks.sum(axis=2) > OCCUPANCY_TOL).any(axis=0)
     return mx[0] + float(g) * np.maximum(mx[1], mx[2]) + float(l) * occurs
 

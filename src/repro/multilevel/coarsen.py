@@ -67,6 +67,14 @@ class CoarseningSequence:
                 rep[ra] = rk
         return np.array([find(v) for v in range(self.dag.n)], dtype=np.int64)
 
+    def prefix(self, num_steps: int) -> "CoarseningSequence":
+        """The sequence of the first ``num_steps`` contractions (all, if fewer)."""
+        return CoarseningSequence(dag=self.dag, records=self.records[:num_steps])
+
+    def mapping_after(self, num_steps: int) -> np.ndarray:
+        """The ``mapping`` of :meth:`coarse_dag_after`, without building the DAG."""
+        return np.unique(self.partition_after(num_steps), return_inverse=True)[1].astype(np.int64)
+
     def coarse_dag_after(self, num_steps: int) -> Tuple[ComputationalDAG, np.ndarray]:
         """Coarse DAG after ``num_steps`` contractions plus the node mapping.
 

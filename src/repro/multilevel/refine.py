@@ -5,7 +5,8 @@ in reverse order.  Every ``refine_interval`` uncontractions the current
 schedule is *projected* onto the (slightly finer) DAG — every finer cluster
 inherits the processor and superstep of the coarse cluster that contained it
 — and a bounded number of hill-climbing moves is run to adapt the schedule
-to the newly revealed structure.
+to the newly revealed structure.  Each level's quotient DAG is built once:
+it is the fine side of one projection and the coarse side of the next.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..graphs.dag import ComputationalDAG
 from ..localsearch.hill_climbing import hill_climb
 from ..model.machine import BspMachine
-from ..model.schedule import BspSchedule, legalize_superstep_assignment
+from ..model.schedule import BspSchedule
 from ..obs import trace as _trace
 from .coarsen import CoarseningSequence
 
@@ -25,44 +27,33 @@ __all__ = ["project_schedule", "uncoarsen_and_refine"]
 
 
 def project_schedule(
-    sequence: CoarseningSequence,
-    machine: BspMachine,
     coarse_schedule: BspSchedule,
-    coarse_steps: int,
-    finer_steps: int,
+    coarse_mapping: np.ndarray,
+    fine_dag: ComputationalDAG,
+    fine_mapping: np.ndarray,
+    machine: BspMachine,
 ) -> BspSchedule:
-    """Project a schedule of the coarse DAG (after ``coarse_steps``
-    contractions) onto the finer DAG obtained after ``finer_steps``
-    contractions (``finer_steps <= coarse_steps``).
+    """Project a schedule of a coarse DAG onto a finer DAG.
 
-    Every finer cluster is assigned the processor and superstep of the
-    coarse cluster containing it; since the coarse schedule was valid, the
-    projection is valid as well (edges inside a coarse cluster end up in the
-    same processor and superstep).  A legalization pass guards against any
-    remaining ordering issue.
+    ``coarse_mapping`` and ``fine_mapping`` map every original node to its
+    cluster on the two levels (as returned by
+    :meth:`CoarseningSequence.coarse_dag_after`); the fine partition must
+    refine the coarse one.  Every fine cluster is assigned the processor and
+    superstep of the coarse cluster containing it.  Since the coarse
+    schedule is valid, so is the projection: edges inside a coarse cluster
+    end up on one processor in one superstep, and every other edge inherits
+    the order of its coarse edge.
     """
-    if finer_steps > coarse_steps:
-        raise ValueError("finer_steps must not exceed coarse_steps")
-    fine_dag, fine_mapping = sequence.coarse_dag_after(finer_steps)
-    coarse_mapping = None
-    # Mapping from original nodes to coarse nodes of the *coarse* level.
-    _, coarse_mapping = sequence.coarse_dag_after(coarse_steps)
-
-    # For every fine cluster pick any original member; its coarse cluster
-    # determines the inherited assignment.
-    representative_original = {}
-    for original_node in range(sequence.dag.n):
-        fine_node = int(fine_mapping[original_node])
-        representative_original.setdefault(fine_node, original_node)
-
-    proc = np.zeros(fine_dag.n, dtype=np.int64)
-    step = np.zeros(fine_dag.n, dtype=np.int64)
-    for fine_node, original_node in representative_original.items():
-        coarse_node = int(coarse_mapping[original_node])
-        proc[fine_node] = coarse_schedule.proc[coarse_node]
-        step[fine_node] = coarse_schedule.step[coarse_node]
-    step = legalize_superstep_assignment(fine_dag, proc, step)
-    return BspSchedule(fine_dag, machine, proc, step)
+    fine_to_coarse = np.empty(fine_dag.n, dtype=np.int64)
+    fine_to_coarse[fine_mapping] = coarse_mapping
+    if not np.array_equal(fine_to_coarse[fine_mapping], coarse_mapping):
+        raise ValueError("the fine partition must refine the coarse partition")
+    return BspSchedule(
+        fine_dag,
+        machine,
+        coarse_schedule.proc[fine_to_coarse],
+        coarse_schedule.step[fine_to_coarse],
+    )
 
 
 @dataclass
@@ -88,17 +79,18 @@ def uncoarsen_and_refine(
     """
     if config is None:
         config = RefinementConfig()
-    total = sequence.num_contractions
-    current_steps = total
+    current_steps = sequence.num_contractions
     current_schedule = coarse_schedule
+    current_mapping = sequence.mapping_after(current_steps)
 
     while current_steps > 0:
         next_steps = max(0, current_steps - max(config.refine_interval, 1))
         with _trace.span(
             "refine_level", contractions=current_steps, next=next_steps
         ) as level_span:
+            fine_dag, fine_mapping = sequence.coarse_dag_after(next_steps)
             projected = project_schedule(
-                sequence, machine, current_schedule, current_steps, next_steps
+                current_schedule, current_mapping, fine_dag, fine_mapping, machine
             )
             result = hill_climb(
                 projected,
@@ -110,6 +102,7 @@ def uncoarsen_and_refine(
                     nodes=projected.dag.n, cost=result.final_cost
                 )
         current_schedule = result.schedule
+        current_mapping = fine_mapping
         current_steps = next_steps
 
     # The uncoarsening loop ends at the original DAG (0 contractions), whose

@@ -80,15 +80,23 @@ def multilevel_schedule(
         best_cost = float(best_schedule.cost()) if best_schedule is not None else float("inf")
         per_ratio_cost: Dict[float, float] = {}
 
+        targets = {
+            ratio: min(max(config.min_coarse_nodes, int(round(dag.n * float(ratio)))), dag.n)
+            for ratio in config.coarsening_ratios
+        }
+        if targets:
+            # The greedy contraction order does not depend on the target, so
+            # the sequence down to the smallest target holds every ratio's
+            # sequence as a prefix: coarsen once per solve.
+            with _trace.span("coarsen"):
+                contractions = coarsen_dag(
+                    dag, min(targets.values()), light_fraction=config.light_edge_fraction
+                )
+
         for ratio in config.coarsening_ratios:
             with _trace.span("ml_ratio", ratio=float(ratio)) as ratio_span:
-                target = max(config.min_coarse_nodes, int(round(dag.n * float(ratio))))
-                target = min(target, dag.n)
-                with _trace.span("coarsen"):
-                    sequence = coarsen_dag(
-                        dag, target, light_fraction=config.light_edge_fraction
-                    )
-                    coarse_dag, _ = sequence.coarse_dag_after(sequence.num_contractions)
+                sequence = contractions.prefix(dag.n - targets[ratio])
+                coarse_dag, _ = sequence.coarse_dag_after(sequence.num_contractions)
 
                 # The base pipeline is not memory-aware: solve the coarse DAG
                 # unconstrained, then repair the result into the feasible region

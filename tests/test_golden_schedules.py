@@ -24,11 +24,14 @@ INSTANCES = {
     "spmv8": lambda: spmv_dag(8, q=0.3, seed=3),
     "spmv12": lambda: spmv_dag(12, q=0.25, seed=11),
     "exp6": lambda: exp_dag(6, k=2, q=0.3, seed=5),
+    # 368 nodes, the instance size of the multilevel-comm benchmark workload.
+    "spmv23": lambda: spmv_dag(23, q=0.3, seed=47),
 }
 
 MACHINES = {
     "flat": lambda: BspMachine(P=4, g=1, l=2),
     "numa": lambda: BspMachine.hierarchical(P=8, delta=3, g=1.7, l=2),
+    "comm": lambda: BspMachine(P=8, g=2, l=20),
 }
 
 MULTILEVEL = "multilevel(preset=heuristics, hc_time_limit=none, hccs_time_limit=none)"
@@ -154,6 +157,14 @@ GOLDEN = {
     ("exp6", "numa", MULTILEVEL): (
         "78.0",
         "10e2103ee73921931a7828ebdf325d3a3a64c7a90cc1da5c0ca6fe17b1e3dd78",
+    ),
+    ("spmv23", "comm", "hc"): (
+        "188.0",
+        "fba4989842164f55b68c53844ad052654ea34ff68fb309c75d0b3c833ff4972d",
+    ),
+    ("spmv23", "comm", MULTILEVEL): (
+        "391.0",
+        "dc55569c6247beb863dfe7df8bb414096f1f225fd210ff7656fb5ded210c8261",
     ),
 }
 

@@ -93,15 +93,6 @@ class TestEngineMatchesReferenceKernels:
         rows = superstep_row_costs(work, send, recv, g, l)
         assert np.array_equal(fused, rows)
 
-    def test_step_cost_list_mirror_stays_in_sync(self):
-        engine = IncrementalCostEngine(
-            np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1.0
-        )
-        engine.apply_cells([(SEND, 1, 0, 3.0), (RECV, 4, 1, 2.0)])
-        assert engine.step_cost_list == engine.step_cost.tolist()
-        engine.apply_cells([(SEND, 1, 0, -3.0), (RECV, 9, 1, 1.0)])
-        assert engine.step_cost_list == engine.step_cost.tolist()
-
     def test_capacity_growth_preserves_totals(self):
         engine = IncrementalCostEngine(
             np.ones((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), 2.0, 3.0

@@ -1,11 +1,16 @@
 """Tests for the multilevel scheduler: coarsening, projection, refinement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.hdagg import HDaggScheduler
-from repro.graphs.fine import exp_dag
+from repro.graphs.dag import ComputationalDAG
+from repro.graphs.fine import exp_dag, spmv_dag
 from repro.model.machine import BspMachine
+from repro.model.schedule import legalize_superstep_assignment
 from repro.multilevel.coarsen import (
     CoarseningSequence,
     coarse_dag_from_partition,
@@ -14,6 +19,22 @@ from repro.multilevel.coarsen import (
 from repro.multilevel.refine import RefinementConfig, project_schedule, uncoarsen_and_refine
 from repro.multilevel.scheduler import MultilevelScheduler, multilevel_schedule
 from repro.pipeline.config import MultilevelConfig, PipelineConfig
+
+
+@st.composite
+def random_dags(draw, max_nodes: int = 16):
+    """Random DAG with edges oriented along the node order."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    edges = []
+    for v in range(1, n):
+        k = draw(st.integers(min_value=0, max_value=min(3, v)))
+        parents = draw(
+            st.lists(st.integers(min_value=0, max_value=v - 1), min_size=k, max_size=k, unique=True)
+        )
+        edges.extend((u, v) for u in parents)
+    work = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
+    comm = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    return ComputationalDAG(n, edges, work, comm, name="hypothesis")
 
 
 class TestCoarsening:
@@ -69,6 +90,25 @@ class TestCoarsening:
         assert coarse.n == 1
         assert coarse.total_work() == chain_dag.total_work()
 
+    @pytest.mark.parametrize(
+        "dag",
+        [spmv_dag(23, q=0.3, seed=s) for s in (1, 2, 3, 47)]
+        + [exp_dag(20, k=3, q=0.25, seed=1), spmv_dag(12, q=0.25, seed=11)],
+        ids=lambda d: d.name,
+    )
+    def test_smaller_target_extends_the_sequence(self, dag):
+        """The multilevel scheduler coarsens once, down to its smallest
+        target, and takes every other ratio's sequence as a prefix."""
+        full = coarsen_dag(dag, int(round(dag.n * 0.15)))
+        target = int(round(dag.n * 0.3))
+        assert coarsen_dag(dag, target).records == full.prefix(dag.n - target).records
+        assert full.prefix(dag.n).records == full.records
+
+    def test_mapping_after_matches_coarse_dag_after(self, layered_dag):
+        seq = coarsen_dag(layered_dag, max(4, layered_dag.n // 3))
+        for k in range(seq.num_contractions + 1):
+            assert np.array_equal(seq.mapping_after(k), seq.coarse_dag_after(k)[1])
+
     def test_coarse_dag_from_partition_identity(self, diamond_dag):
         identity = np.arange(diamond_dag.n)
         coarse, mapping = coarse_dag_from_partition(diamond_dag, identity)
@@ -81,19 +121,49 @@ class TestProjectionAndRefinement:
     def test_projection_is_valid(self, exp_small, machine4):
         seq = coarsen_dag(exp_small, max(6, exp_small.n // 3))
         total = seq.num_contractions
-        coarse, _ = seq.coarse_dag_after(total)
+        coarse, coarse_mapping = seq.coarse_dag_after(total)
         coarse_schedule = HDaggScheduler().schedule(coarse, machine4)
         finer_steps = max(0, total - 7)
-        projected = project_schedule(seq, machine4, coarse_schedule, total, finer_steps)
+        fine, fine_mapping = seq.coarse_dag_after(finer_steps)
+        projected = project_schedule(
+            coarse_schedule, coarse_mapping, fine, fine_mapping, machine4
+        )
         assert projected.is_valid()
         assert projected.dag.n == exp_small.n - finer_steps
 
     def test_projection_rejects_wrong_order(self, exp_small, machine4):
         seq = coarsen_dag(exp_small, max(6, exp_small.n // 3))
-        coarse, _ = seq.coarse_dag_after(seq.num_contractions)
-        coarse_schedule = HDaggScheduler().schedule(coarse, machine4)
+        coarse, coarse_mapping = seq.coarse_dag_after(seq.num_contractions)
+        fine, fine_mapping = seq.coarse_dag_after(0)
+        fine_schedule = HDaggScheduler().schedule(fine, machine4)
+        # "Projecting" onto the coarser level: a coarse cluster would have to
+        # inherit from several fine clusters at once.
         with pytest.raises(ValueError):
-            project_schedule(seq, machine4, coarse_schedule, 0, seq.num_contractions)
+            project_schedule(fine_schedule, fine_mapping, coarse, coarse_mapping, machine4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dag=random_dags(max_nodes=24),
+        shrink=st.floats(min_value=0.1, max_value=0.9),
+        interval=st.integers(min_value=1, max_value=6),
+        P=st.sampled_from([1, 2, 4]),
+    )
+    def test_projection_needs_no_legalization(self, dag, shrink, interval, P):
+        """A valid coarse schedule projects to a valid fine one unchanged:
+        legalizing the projection is a no-op, at every refinement level."""
+        machine = BspMachine(P=P, g=1, l=2)
+        seq = coarsen_dag(dag, max(1, int(dag.n * shrink)))
+        steps = seq.num_contractions
+        coarse, mapping = seq.coarse_dag_after(steps)
+        schedule = HDaggScheduler().schedule(coarse, machine)
+        while steps > 0:
+            steps = max(0, steps - interval)
+            fine, fine_mapping = seq.coarse_dag_after(steps)
+            schedule = project_schedule(schedule, mapping, fine, fine_mapping, machine)
+            legal = legalize_superstep_assignment(fine, schedule.proc, schedule.step)
+            assert np.array_equal(legal, schedule.step)
+            assert schedule.is_valid()
+            mapping = fine_mapping
 
     def test_uncoarsen_and_refine_returns_original_dag_schedule(self, exp_small, machine4):
         seq = coarsen_dag(exp_small, max(6, exp_small.n // 3))
@@ -151,6 +221,25 @@ class TestMultilevelScheduler:
         assert scheduler.name == "ML"
         sched = scheduler.schedule_checked(exp_small, machine4)
         assert sched.dag is exp_small
+
+    def test_per_ratio_cost_as_if_coarsened_per_ratio(self, numa_machine):
+        """Coarsening once for both ratios leaves every ratio's result as a
+        single-ratio run (which coarsens to its own target) computes it."""
+        dag = spmv_dag(12, q=0.25, seed=11)
+
+        def config(ratios):
+            return MultilevelConfig(
+                coarsening_ratios=ratios,
+                hc_moves_per_refinement=20,
+                base_pipeline=dataclasses.replace(
+                    PipelineConfig.heuristics_only(), hc_time_limit=None, hccs_time_limit=None
+                ),
+            )
+
+        _, both = multilevel_schedule(dag, numa_machine, config((0.3, 0.15)))
+        _, only30 = multilevel_schedule(dag, numa_machine, config((0.3,)))
+        _, only15 = multilevel_schedule(dag, numa_machine, config((0.15,)))
+        assert both == {**only30, **only15}
 
     def test_best_of_two_ratios_selected(self, exp_small, numa_machine):
         config = MultilevelConfig(

@@ -435,6 +435,20 @@ class TestConvergenceTelemetry:
         costs = [e["cost"] for e in passes]
         assert costs == sorted(costs, reverse=True)  # HC is monotone
 
+    def test_hill_climb_reports_probes_and_batches(self, layered_dag, machine4):
+        from repro.localsearch.hill_climbing import _MAX_BATCH
+        from repro.localsearch.state import LocalSearchState
+
+        initial = LevelRoundRobinScheduler().schedule(layered_dag, machine4)
+        with tracing() as tracer:
+            hill_climb(initial)
+        [span] = [r for r in tracer.records() if r["name"] == "hill_climb"]
+        probes, batches = span["attrs"]["probes"], span["attrs"]["probe_batches"]
+        # The first pass probes every node that has a candidate move.
+        movable = int(LocalSearchState(initial).candidate_mask().any(axis=(1, 2)).sum())
+        assert probes >= movable > 0
+        assert batches <= probes <= batches * _MAX_BATCH
+
     def test_comm_hill_climb_reports_engine_transactions(self, layered_dag, machine4):
         initial = CilkScheduler().schedule(layered_dag, machine4)
         with tracing() as tracer:

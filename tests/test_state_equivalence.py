@@ -109,14 +109,14 @@ class TestStateMatchesEvaluate:
             BspSchedule(dag, machine, np.array([0, 1]), np.array([0, 1]))
         )
         before = state.total_cost
-        succ_before = [row[:] for row in state.succ_min]
+        succ_before = state.succ_min.copy()
         # Moving node 1 to step 0 on processor 1 is invalid (its parent is on
         # the other processor); the probe must fail without side effects.
         with pytest.raises(Exception):
             state.move_deltas(1, [(1, 1, 0)])
         assert state.total_cost == before
         assert int(state.step[1]) == 1
-        assert state.succ_min == succ_before
+        assert np.array_equal(state.succ_min, succ_before)
         assert state.total_cost == pytest.approx(_exact_cost(state))
 
     @settings(max_examples=25, deadline=None)
@@ -128,7 +128,7 @@ class TestStateMatchesEvaluate:
         proc_before = state.proc.copy()
         step_before = state.step.copy()
         cost_before = state.total_cost
-        succ_min_before = [row[:] for row in state.succ_min]
+        succ_min_before = state.succ_min.copy()
         for v in range(dag.n):
             moves = state.candidate_moves(v)
             if moves:
@@ -136,4 +136,4 @@ class TestStateMatchesEvaluate:
         assert np.array_equal(state.proc, proc_before)
         assert np.array_equal(state.step, step_before)
         assert state.total_cost == cost_before
-        assert state.succ_min == succ_min_before
+        assert np.array_equal(state.succ_min, succ_min_before)
