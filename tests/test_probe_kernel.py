@@ -12,15 +12,17 @@ changes a schedule.
 
 from __future__ import annotations
 
+import random
 from typing import List, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.cilk import CilkScheduler
 from repro.baselines.trivial import LevelRoundRobinScheduler
 from repro.graphs.dag import ComputationalDAG
-from repro.graphs.fine import exp_dag
+from repro.graphs.fine import exp_dag, spmv_dag
 from repro.localsearch.state import _NO_STEP, LocalSearchState, Move
 from repro.model.cost import superstep_block_costs
 from repro.model.machine import BspMachine
@@ -249,7 +251,10 @@ def random_dags(draw, max_nodes: int = 40):
         )
         edges.extend((u, v) for u in parents)
     work = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
-    comm = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+    # A few huge weights make float sums order-sensitive in the low bits.
+    comm = draw(
+        st.lists(st.sampled_from([0, 1, 2, 3, 4, 3**25]), min_size=n, max_size=n)
+    )
     return ComputationalDAG(n, edges, work, comm, name="hypothesis")
 
 
@@ -257,6 +262,9 @@ MACHINES = {
     "flat": lambda: BspMachine(P=4, g=1, l=2),
     "numa": lambda: BspMachine.hierarchical(P=8, delta=3, g=1.7, l=2),
     "memory": lambda: BspMachine(P=4, g=2, l=3).with_memory_bound(6),
+    # Fractional NUMA factors make the matrix cells non-integer, so the
+    # order in which one cell's contributions are added shows in its bits.
+    "numa-frac": lambda: BspMachine.hierarchical(P=8, delta=1.3, g=1.1, l=2),
 }
 
 
@@ -298,3 +306,26 @@ def test_single_node_forms_share_the_kernel():
         for move in moves:
             [alone], _ = probe_items(state, [(v, [move])])
             assert state.move_delta(*move) == float(alone[0])
+
+
+def test_kernel_matches_reference_where_order_shows():
+    """Huge and small weights on fractional NUMA factors: the few probes
+    whose bits depend on the order of one cell's contributions match too."""
+    rng = random.Random(1)
+    machine = MACHINES["numa-frac"]()
+    for base in (exp_dag(6, k=2, q=0.3, seed=5), spmv_dag(23, q=0.3, seed=47)):
+        comm = [rng.choice([1, 2, 3, 3**25, 7**13]) for _ in range(base.n)]
+        edges = list(zip(base.edge_sources.tolist(), base.edge_targets.tolist()))
+        dag = ComputationalDAG(base.n, edges, base.work, comm, name="heavy")
+        state = LocalSearchState(CilkScheduler(seed=1).schedule(dag, machine))
+        for _ in range(20):
+            items = [(v, state.candidate_moves(v)) for v in range(dag.n)]
+            deltas, _ = probe_items(state, items)
+            ref_deltas, _ = reference_move_deltas_many(state, items)
+            for got, want in zip(deltas, ref_deltas):
+                assert got.tobytes() == want.tobytes()
+            for _ in range(5):
+                v = rng.randrange(dag.n)
+                moves = state.candidate_moves(v)
+                if moves:
+                    state.apply_move(*moves[rng.randrange(len(moves))])
