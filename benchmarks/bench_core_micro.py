@@ -4,10 +4,11 @@ Not a paper table: these benchmark the throughput of the building blocks
 (cost evaluation, validity checking, the baselines, the initialization
 heuristics, hill climbing and coarsening) plus the array-native kernel
 primitives (CSR construction, local-search state build, batched move
-probing) and the experiment engine, so that performance regressions in the
-library itself are visible.
+probing, ILP model build) and the experiment engine, so that performance
+regressions in the library itself are visible.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines.cilk import CilkScheduler
@@ -15,9 +16,10 @@ from repro.baselines.hdagg import HDaggScheduler
 from repro.baselines.list_schedulers import BlEstScheduler, EtfScheduler
 from repro.experiments.runner import ParallelRunner
 from repro.graphs.dag import ComputationalDAG
-from repro.graphs.fine import exp_dag
+from repro.graphs.fine import exp_dag, spmv_dag
 from repro.heuristics.bspg import BspGreedyScheduler
 from repro.heuristics.source import SourceScheduler
+from repro.ilp.formulation import build_bsp_ilp
 from repro.localsearch.comm_hill_climbing import comm_hill_climb
 from repro.localsearch.hill_climbing import hill_climb
 from repro.localsearch.state import LocalSearchState
@@ -137,6 +139,27 @@ def test_move_probe_throughput(benchmark, hdagg_schedule):
 
     probed = benchmark(probe_all)
     assert probed > 0
+
+
+def test_ilp_window_build(benchmark, machine):
+    """ILP model build and compilation of a ~1,000-node one-superstep window.
+
+    The Source heuristic puts all but the 40 output nodes of spmv(n=40) in
+    superstep 0: the largest window ILPpart meets on this instance family.
+    """
+    dag = spmv_dag(40, q=0.3, seed=1)
+    base = SourceScheduler().schedule(dag, machine)
+    free = np.flatnonzero(base.step == 0)
+
+    def build():
+        form = build_bsp_ilp(
+            dag, machine, free_nodes=free, s_first=0, s_last=0,
+            base_proc=base.proc, base_step=base.step,
+        )
+        return form.model.to_arrays()
+
+    c, A, *_ = benchmark(build)
+    assert len(free) > 1000 and A.shape[1] == len(c) == len(free) * 8 * 9 + 3
 
 
 def test_parallel_runner_serial_engine(benchmark, machine):

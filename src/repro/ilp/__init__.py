@@ -4,13 +4,12 @@ from .commsched import CommScheduleIlpImprover, solve_comm_schedule_ilp
 from .formulation import BspIlpFormulation, build_bsp_ilp, estimate_variable_count
 from .full import IlpFullScheduler, solve_full_ilp
 from .init import IlpInitScheduler, topological_batches
-from .model import INF, Constraint, IlpModel
+from .model import INF, IlpModel
 from .partial import PartialIlpImprover, superstep_windows
 from .solver import SolverResult, SolverStatus, solve
 
 __all__ = [
     "IlpModel",
-    "Constraint",
     "INF",
     "solve",
     "SolverResult",

@@ -13,12 +13,57 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..model.comm import CommSchedule
 from ..model.schedule import BspSchedule
-from .model import IlpModel
+from .model import INF, IlpModel
 from .solver import solve
 
-__all__ = ["solve_comm_schedule_ilp", "CommScheduleIlpImprover"]
+__all__ = ["build_comm_schedule_ilp", "solve_comm_schedule_ilp", "CommScheduleIlpImprover"]
+
+
+def build_comm_schedule_ilp(
+    schedule: BspSchedule, transfers: Dict[Tuple[int, int], int]
+) -> Tuple[IlpModel, np.ndarray]:
+    """The ILPcs model of ``transfers`` (as from ``required_transfers``).
+
+    Returns the model and an ``(X, 3)`` array whose row ``i`` is the
+    ``(u, q, s)`` of variable ``i``: send ``u`` to ``q`` in phase ``s``.
+    Variables come per transfer, in the order of ``transfers``, over its
+    window ``step[u] .. first_need - 1``, followed by ``H[s]``.  The rows
+    are one "exactly once" row per transfer, then per superstep and
+    processor a send row and a recv row where some window needs one.
+    """
+    P = schedule.machine.P
+    S = schedule.num_supersteps
+    T = len(transfers)
+    u, q = np.array(list(transfers), dtype=np.int64).reshape(T, 2).T
+    lo = schedule.step[u].astype(np.int64)
+    length = np.maximum(np.fromiter(transfers.values(), dtype=np.int64, count=T) - lo, 0)
+    t = np.repeat(np.arange(T), length)
+    s = lo[t] + np.arange(len(t)) - np.repeat(np.cumsum(length) - length, length)
+    p_from = schedule.proc[u[t]].astype(np.int64)
+    volume = np.asarray(schedule.dag.comm, dtype=np.float64)[u[t]] * schedule.machine.numa[p_from, q[t]]
+
+    model = IlpModel(name="ILPcs")
+    x = np.asarray(model.add_binaries(len(t)))
+    h_var = np.asarray(model.add_variables(S))
+    # Every transfer happens exactly once inside its window.
+    model.add_constraints(T, t, x, 1.0, 1.0, 1.0)
+    # h-relation bounds per superstep and processor (send and receive).
+    send, recv = (s * P + p_from) * 2, (s * P + q[t]) * 2 + 1
+    keys = np.unique(np.concatenate([send, recv]))
+    model.add_constraints(
+        len(keys),
+        np.concatenate([np.searchsorted(keys, send), np.searchsorted(keys, recv), np.arange(len(keys))]),
+        np.concatenate([x, x, h_var[keys // (2 * P)]]),
+        np.concatenate([volume, volume, np.full(len(keys), -1.0)]),
+        -INF,
+        0.0,
+    )
+    model.add_objective(h_var, float(schedule.machine.g))
+    return model, np.stack([u[t], q[t], s], axis=1)
 
 
 def solve_comm_schedule_ilp(
@@ -31,13 +76,6 @@ def solve_comm_schedule_ilp(
     The returned schedule carries an explicit, optimized communication
     schedule; its (pi, tau) assignment is unchanged.
     """
-    machine = schedule.machine
-    dag = schedule.dag
-    P = machine.P
-    g = float(machine.g)
-    numa = machine.numa
-    S = schedule.num_supersteps
-
     transfers = schedule.required_transfers()
     if not transfers:
         # Nothing to optimize: attach an (empty) explicit schedule.
@@ -45,54 +83,14 @@ def solve_comm_schedule_ilp(
         out.comm = CommSchedule()
         return out
 
-    model = IlpModel(name="ILPcs")
-    x: Dict[Tuple[int, int, int], int] = {}
-    windows: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for (u, q), first_need in transfers.items():
-        lo = int(schedule.step[u])
-        hi = first_need - 1
-        windows[(u, q)] = (lo, hi)
-        for s in range(lo, hi + 1):
-            x[(u, q, s)] = model.add_binary(f"x[{u},{q},{s}]")
-
-    h_var = {s: model.add_continuous(f"H[{s}]") for s in range(S)}
-
-    # Every transfer happens exactly once inside its window.
-    for (u, q), (lo, hi) in windows.items():
-        model.add_eq({x[(u, q, s)]: 1.0 for s in range(lo, hi + 1)}, 1.0, name=f"once[{u},{q}]")
-
-    # h-relation bounds per superstep and processor (send and receive).
-    for s in range(S):
-        send: Dict[int, Dict[int, float]] = {p: {} for p in range(P)}
-        recv: Dict[int, Dict[int, float]] = {p: {} for p in range(P)}
-        for (u, q), (lo, hi) in windows.items():
-            if not (lo <= s <= hi):
-                continue
-            p_from = int(schedule.proc[u])
-            vol = float(dag.comm[u]) * float(numa[p_from, q])
-            send[p_from][x[(u, q, s)]] = send[p_from].get(x[(u, q, s)], 0.0) + vol
-            recv[q][x[(u, q, s)]] = recv[q].get(x[(u, q, s)], 0.0) + vol
-        for p in range(P):
-            if send[p]:
-                coeffs = dict(send[p])
-                coeffs[h_var[s]] = -1.0
-                model.add_le(coeffs, 0.0, name=f"send[{s},{p}]")
-            if recv[p]:
-                coeffs = dict(recv[p])
-                coeffs[h_var[s]] = -1.0
-                model.add_le(coeffs, 0.0, name=f"recv[{s},{p}]")
-
-    for s in range(S):
-        model.add_objective_term(h_var[s], g)
-
+    model, sends = build_comm_schedule_ilp(schedule, transfers)
     result = solve(model, time_limit=time_limit)
     if not result.has_solution:
         return None
 
     comm = CommSchedule()
-    for (u, q, s), idx in x.items():
-        if result.binary_value(idx):
-            comm.add(u, int(schedule.proc[u]), q, s)
+    for u, q, s in sends[result.values[: len(sends)] > 0.5].tolist():
+        comm.add(u, int(schedule.proc[u]), q, s)
     out = schedule.copy()
     out.comm = comm
     return out

@@ -94,10 +94,9 @@ class IlpInitScheduler(Scheduler):
             if result.has_solution:
                 try:
                     new_proc, new_step = form.extract_assignment(result)
-                    for v in batch:
-                        proc[v] = new_proc[v]
-                        step[v] = new_step[v]
-                        placed[v] = True
+                    proc[batch] = new_proc[batch]
+                    step[batch] = new_step[batch]
+                    placed[batch] = True
                 except ValueError:
                     result = None  # fall through to the greedy fallback below
             if not result or not result.has_solution:

@@ -36,9 +36,7 @@ def superstep_windows(
     S = schedule.num_supersteps
     if S == 0:
         return []
-    nodes_per_step = np.zeros(S, dtype=np.int64)
-    for v in range(schedule.dag.n):
-        nodes_per_step[int(schedule.step[v])] += 1
+    nodes_per_step = np.bincount(schedule.step, minlength=S)
 
     windows: List[Tuple[int, int]] = []
     s2 = S - 1
@@ -72,10 +70,8 @@ class PartialIlpImprover:
         current = schedule.normalized().without_comm()
         P = current.machine.P
         for (s1, s2) in superstep_windows(current, P, self.max_variables):
-            free_nodes = [
-                v for v in range(current.dag.n) if s1 <= int(current.step[v]) <= s2
-            ]
-            if not free_nodes:
+            free_nodes = np.flatnonzero((current.step >= s1) & (current.step <= s2))
+            if not free_nodes.size:
                 continue
             form = build_bsp_ilp(
                 current.dag,

@@ -1,12 +1,13 @@
-"""Golden byte-identity pins for the deterministic local-search schedulers.
+"""Golden byte-identity pins for the deterministic schedulers.
 
 Every case pins the exact ``total_cost`` (as ``repr`` of the float) and a
 sha256 of the schedule's ``(proc, step)`` arrays plus its explicit
 communication schedule, if any.  The values were recorded once and must
 never drift: a refactor of the incremental cost engine, the local-search
-state or the multilevel refinement that changes a single float operation
-order shows up here as a changed cost or digest.  An intentional change of
-results has to update these pins and say so in the change log.
+state, the multilevel refinement or the ILP model builders that changes a
+single float operation order shows up here as a changed cost or digest.
+An intentional change of results has to update these pins and say so in
+the change log.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ MACHINES = {
 }
 
 MULTILEVEL = "multilevel(preset=heuristics, hc_time_limit=none, hccs_time_limit=none)"
+
+#: The default framework with every wall-clock cap lifted, so its ILP stages
+#: (ILPfull, ILPpart, ILPcs) run to optimality and the result is exact.
+FRAMEWORK_ILP = (
+    "framework(ilp_full_time_limit=none, ilp_partial_time_limit=none, "
+    "ilp_cs_time_limit=none, hc_time_limit=none, hccs_time_limit=none)"
+)
 
 #: (instance, machine, scheduler spec) -> (repr(total_cost), sha256 digest).
 GOLDEN = {
@@ -165,6 +173,19 @@ GOLDEN = {
     ("spmv23", "comm", MULTILEVEL): (
         "391.0",
         "dc55569c6247beb863dfe7df8bb414096f1f225fd210ff7656fb5ded210c8261",
+    ),
+    # The ILP path.  spmv8/flat is left out: its ILPfull solve takes minutes.
+    ("spmv8", "numa", FRAMEWORK_ILP): (
+        "57.4",
+        "331d0df2e5e52bde271b6a5c78b417f07b9351971297d90144e5289c4e8e4aec",
+    ),
+    ("spmv12", "flat", FRAMEWORK_ILP): (
+        "58.0",
+        "8e5132ca492631b9a5796f5efc5bb3dcbeb6814f8162f2aabd3d1ef9e4b04292",
+    ),
+    ("exp6", "numa", FRAMEWORK_ILP): (
+        "116.8",
+        "e11a481ee0b56af75f9d56bf5fc8f64a3953bf7ccb2602c716e0c2828064c4af",
     ),
 }
 

@@ -42,6 +42,21 @@ class TestFormulationBuilder:
         with pytest.raises(ValueError):
             form.extract_assignment(SolverResult(SolverStatus.INFEASIBLE, None, None))
 
+    def test_extraction_rejects_double_and_missing_assignments(self, diamond_dag, machine2):
+        from repro.ilp.solver import SolverResult, SolverStatus
+
+        form = build_bsp_ilp(diamond_dag, machine2, s_first=0, s_last=1)
+        values = np.zeros(form.model.num_variables)
+        values[form.comp[:, 0, 0]] = 1.0
+        proc, step = form.extract_assignment(SolverResult(SolverStatus.OPTIMAL, 0.0, values))
+        assert proc.tolist() == [0, 0, 0, 0] and step.tolist() == [0, 0, 0, 0]
+        values[form.comp[2, 1, 1]] = 1.0
+        with pytest.raises(ValueError, match="node 2 assigned more than once"):
+            form.extract_assignment(SolverResult(SolverStatus.OPTIMAL, 0.0, values))
+        values[form.comp[1:3]] = 0.0
+        with pytest.raises(ValueError, match=r"left nodes unassigned: \[1, 2\]"):
+            form.extract_assignment(SolverResult(SolverStatus.OPTIMAL, 0.0, values))
+
 
 class TestFullIlp:
     def test_chain_is_kept_sequential(self, machine2):

@@ -9,6 +9,7 @@ extracted schedule uses the lazy communication schedule, which can only be
 cheaper than what the ILP accounted for).
 """
 
+import numpy as np
 import pytest
 
 from repro.graphs.coarse import coarse_pagerank
@@ -79,9 +80,8 @@ class TestSolutionConsistency:
         form = build_bsp_ilp(dag, machine, s_first=0, s_last=2)
         result = solve(form.model, time_limit=20)
         assert result.has_solution
-        for idx in form.comp.values():
-            value = result.value(idx)
-            assert abs(value - round(value)) < 1e-5
+        values = result.values[form.comp]
+        assert np.all(np.abs(values - np.round(values)) < 1e-5)
 
     def test_infeasible_window_detected(self):
         """A window too small for a forced cross-processor chain is infeasible.

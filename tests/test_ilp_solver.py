@@ -68,10 +68,8 @@ def solve_branch_and_bound(
     max_nodes: int = 20_000,
 ) -> SolverResult:
     """Best-first branch and bound over the LP relaxation."""
-    n = model.num_variables
-    lb0 = np.array(model.var_lb, dtype=np.float64)
-    ub0 = np.array(model.var_ub, dtype=np.float64)
-    integer_vars = [i for i in range(n) if model.var_integer[i]]
+    *_, lb0, ub0, integrality = model.to_arrays()
+    integer_vars = np.flatnonzero(integrality).tolist()
 
     start = time.monotonic()
     counter = itertools.count()
@@ -147,18 +145,16 @@ def solve_branch_and_bound(
 def knapsack_model():
     """max 5x + 4y + 3z s.t. 2x + 3y + z <= 5 over binaries -> optimum 9 (x=y=1)."""
     m = IlpModel("knapsack")
-    x = m.add_binary("x")
-    y = m.add_binary("y")
-    z = m.add_binary("z")
+    x, y, z = m.add_binaries(3)
     m.add_le({x: 2.0, y: 3.0, z: 1.0}, 5.0)
     # Minimization form: negate the profits.
-    m.set_objective({x: -5.0, y: -4.0, z: -3.0})
+    m.add_objective([x, y, z], [-5.0, -4.0, -3.0])
     return m, (x, y, z)
 
 
 def infeasible_model():
     m = IlpModel("infeasible")
-    x = m.add_binary("x")
+    (x,) = m.add_binaries(1)
     m.add_ge({x: 1.0}, 2.0)
     return m
 
@@ -166,10 +162,9 @@ def infeasible_model():
 def fractional_lp_model():
     """A model whose LP relaxation is fractional, forcing actual branching."""
     m = IlpModel("frac")
-    x = m.add_variable("x", 0, 10, integer=True)
-    y = m.add_variable("y", 0, 10, integer=True)
+    x, y = m.add_variables(2, 0, 10, integer=True)
     m.add_le({x: 2.0, y: 2.0}, 7.0)
-    m.set_objective({x: -1.0, y: -1.0})
+    m.add_objective([x, y], -1.0)
     return m
 
 
@@ -220,3 +215,42 @@ class TestBranchAndBoundBackend:
     def test_respects_node_limit(self):
         result = solve_branch_and_bound(fractional_lp_model(), max_nodes=0)
         assert result.status in (SolverStatus.NO_SOLUTION, SolverStatus.FEASIBLE, SolverStatus.OPTIMAL)
+
+
+class TestTelemetry:
+    """With tracing on, every solve is an ``ilp.solve`` span with its size and outcome."""
+
+    @staticmethod
+    def _traced_solve(model, **kwargs):
+        from repro.obs import trace
+
+        with trace.tracing() as tracer:
+            result = solve(model, **kwargs)
+        (span,) = [r for r in tracer.records() if r.get("name") == "ilp.solve"]
+        return result, span["attrs"]
+
+    def test_optimal_solve_attributes(self):
+        model, _ = knapsack_model()
+        result, attrs = self._traced_solve(model)
+        assert result.status == SolverStatus.OPTIMAL
+        assert attrs == {"vars": 3, "rows": 1, "nnz": 3, "status": "optimal", "mip_gap": 0.0}
+        untraced = solve(model)
+        assert untraced.objective == result.objective
+        assert untraced.values.tobytes() == result.values.tobytes()
+
+    def test_capped_solve_attributes(self):
+        from repro.graphs.fine import spmv_dag
+        from repro.ilp.formulation import build_bsp_ilp
+        from repro.model.machine import BspMachine
+
+        form = build_bsp_ilp(spmv_dag(6, q=0.3, seed=0), BspMachine(P=4, g=1, l=2), s_first=0, s_last=3)
+        result, attrs = self._traced_solve(form.model, time_limit=1e-6)
+        _, A, *_ = form.model.to_arrays()
+        assert result.status == SolverStatus.NO_SOLUTION
+        assert attrs == {
+            "vars": form.model.num_variables,
+            "rows": form.model.num_constraints,
+            "nnz": A.nnz,
+            "status": "no_solution",
+            "mip_gap": None,
+        }
